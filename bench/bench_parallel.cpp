@@ -1,6 +1,7 @@
 // Experiment R-F13 (extension) — synchronous parallel tuning.
 //
-// Kriging-believer batch proposals (core::propose_batch) let `q`
+// Kriging-believer batch proposals — `q` outstanding asks of one BoTuner
+// session, each conditioned on fantasies of the ones before it — let `q`
 // configurations train concurrently on separate clusters; the search's
 // wall-clock per round is then the slowest run instead of the sum. Sweep
 // q at a fixed total evaluation count. Expected shape: wall-clock drops

@@ -1,23 +1,31 @@
 // Experiment R-F8 — the tuner's own computational overhead.
 //
-// google-benchmark microbenchmarks of the two per-iteration costs the tuner
-// adds on top of the (dominant) training evaluations: fitting the surrogate
-// and maximizing the acquisition, as a function of history size. The claim
-// to reproduce: tuner overhead is seconds per iteration even at history
-// sizes far beyond a realistic budget — negligible next to cluster-hours
-// per evaluation.
-#include <benchmark/benchmark.h>
+// Plain timed loops over the two per-iteration costs the tuner adds on top
+// of the (dominant) training evaluations: fitting the surrogate and
+// maximizing the acquisition, as a function of history size. Each cell is
+// the minimum over --reps repetitions (util::Stopwatch), the least noisy
+// estimate of a deterministic computation's cost on a shared machine. The
+// claim to reproduce: tuner overhead is seconds per iteration even at
+// history sizes far beyond a realistic budget — negligible next to
+// cluster-hours per evaluation.
+//
+//   ./build/bench/bench_tuner_overhead [--reps=5]
+#include <algorithm>
+#include <functional>
+#include <limits>
 
+#include "bench_common.h"
 #include "core/acquisition_optimizer.h"
 #include "core/surrogate.h"
+#include "util/arg_parse.h"
+#include "util/stopwatch.h"
 #include "workloads/objective_adapter.h"
 
 using namespace autodml;
 
 namespace {
 
-std::vector<core::Trial> make_history(const wl::Workload& workload,
-                                      wl::Evaluator& evaluator, int n) {
+std::vector<core::Trial> make_history(wl::Evaluator& evaluator, int n) {
   util::Rng rng(5);
   std::vector<core::Trial> trials;
   for (int i = 0; i < n; ++i) {
@@ -25,61 +33,76 @@ std::vector<core::Trial> make_history(const wl::Workload& workload,
     const wl::EvalResult r = evaluator.evaluate_ground_truth(c);
     trials.push_back(wl::to_trial(r, wl::Objective::kTimeToAccuracy));
   }
-  (void)workload;
   return trials;
 }
 
-void BM_SurrogateUpdate(benchmark::State& state) {
-  const auto& workload = wl::workload_by_name("mlp-tabular");
-  wl::Evaluator evaluator(workload, 1);
-  const auto history =
-      make_history(workload, evaluator, static_cast<int>(state.range(0)));
-  core::SurrogateOptions options;
-  options.gp.restarts = 1;
-  options.gp.adam_iterations = 80;
-  for (auto _ : state) {
-    core::SurrogateModel model(evaluator.space(), options, 3);
-    model.update(history);
-    benchmark::DoNotOptimize(model.ready());
+/// Minimum wall time of `body` over `reps` runs, in milliseconds.
+double min_ms(int reps, const std::function<void()>& body) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < reps; ++i) {
+    const util::Stopwatch watch;
+    body();
+    best = std::min(best, watch.elapsed_ms());
   }
-  state.SetLabel("history=" + std::to_string(state.range(0)));
+  return best;
 }
-BENCHMARK(BM_SurrogateUpdate)->Arg(10)->Arg(20)->Arg(40)->Arg(80)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_AcquisitionProposal(benchmark::State& state) {
-  const auto& workload = wl::workload_by_name("mlp-tabular");
-  wl::Evaluator evaluator(workload, 1);
-  const auto history =
-      make_history(workload, evaluator, static_cast<int>(state.range(0)));
-  core::SurrogateOptions options;
-  options.gp.restarts = 1;
-  core::SurrogateModel model(evaluator.space(), options, 3);
-  model.update(history);
-  util::Rng rng(9);
-  for (auto _ : state) {
-    auto candidate = core::propose_candidate(
-        model, core::AcquisitionKind::kLogEi, history, rng);
-    benchmark::DoNotOptimize(candidate);
-  }
-  state.SetLabel("history=" + std::to_string(state.range(0)));
-}
-BENCHMARK(BM_AcquisitionProposal)->Arg(10)->Arg(40)->Arg(80)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SingleSimulatedEvaluation(benchmark::State& state) {
-  // For scale: what one black-box evaluation costs the *host* (the
-  // simulated cluster cost is hours; this is the simulation wall time).
-  const auto& workload = wl::workload_by_name("mlp-tabular");
-  wl::Evaluator evaluator(workload, 1);
-  const conf::Config c =
-      wl::default_expert_config(workload, evaluator.space());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.evaluate_ground_truth(c).tta_seconds);
-  }
-}
-BENCHMARK(BM_SingleSimulatedEvaluation)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  const util::ArgParser args(argc, argv);
+  const int reps = static_cast<int>(args.get_int("reps", 5));
+  const wl::Workload& workload = wl::workload_by_name("mlp-tabular");
+  wl::Evaluator evaluator(workload, 1);
+  std::vector<std::vector<std::string>> rows;
+
+  // Surrogate update: a fresh model fit from scratch on the history.
+  core::SurrogateOptions update_options;
+  update_options.gp.restarts = 1;
+  update_options.gp.adam_iterations = 80;
+  for (const int n : {10, 20, 40, 80}) {
+    const std::vector<core::Trial> history = make_history(evaluator, n);
+    bool ready = false;
+    const double ms = min_ms(reps, [&] {
+      core::SurrogateModel model(evaluator.space(), update_options, 3);
+      model.update(history);
+      ready = model.ready();
+    });
+    rows.push_back({"surrogate update", std::to_string(n), util::fmt(ms, 4),
+                    ready ? "ready" : "not ready"});
+  }
+
+  // Acquisition proposal against a model fit once on the history.
+  core::SurrogateOptions acq_options;
+  acq_options.gp.restarts = 1;
+  for (const int n : {10, 40, 80}) {
+    const std::vector<core::Trial> history = make_history(evaluator, n);
+    core::SurrogateModel model(evaluator.space(), acq_options, 3);
+    model.update(history);
+    util::Rng rng(9);
+    bool proposed = false;
+    const double ms = min_ms(reps, [&] {
+      proposed = core::propose_candidate(model, core::AcquisitionKind::kLogEi,
+                                         history, rng)
+                     .has_value();
+    });
+    rows.push_back({"acquisition proposal", std::to_string(n),
+                    util::fmt(ms, 4), proposed ? "proposed" : "none"});
+  }
+
+  // For scale: what one black-box evaluation costs the *host* (the
+  // simulated cluster cost is hours; this is the simulation wall time).
+  const conf::Config expert =
+      wl::default_expert_config(workload, evaluator.space());
+  double tta_seconds = 0.0;
+  const double ms = min_ms(reps, [&] {
+    tta_seconds = evaluator.evaluate_ground_truth(expert).tta_seconds;
+  });
+  rows.push_back({"simulated evaluation", "-", util::fmt(ms, 4),
+                  "tta " + util::fmt(tta_seconds / 3600.0, 2) + " h"});
+
+  bench::print_table("R-F8  tuner overhead on mlp-tabular (min of " +
+                         std::to_string(reps) + " reps)",
+                     {"operation", "history", "min-ms", "note"}, rows);
+  return 0;
+}

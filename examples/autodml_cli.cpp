@@ -424,9 +424,9 @@ int cmd_tune(const wl::Workload& workload, const util::ArgParser& args) {
                           : util::dump_json(registry.snapshot_json(), 1));
     std::printf("metrics snapshot written to %s\n", metrics_path.c_str());
   }
-  if (tuner.replayed_trials() > 0) {
+  if (tuner.replayed_count() > 0) {
     std::printf("journal %s: replayed %zu trials without re-evaluating\n",
-                options.journal_path.c_str(), tuner.replayed_trials());
+                options.journal_path.c_str(), tuner.replayed_count());
   }
   if (supervised) {
     int attempts = 0, transients = 0;

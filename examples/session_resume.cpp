@@ -86,7 +86,7 @@ int run(const util::ArgParser& args) {
     options.journal_path = journal;
     core::BoTuner tuner(objective, options);
     const core::TuningResult result = tuner.tune();
-    return std::make_tuple(result.best_objective, tuner.replayed_trials(),
+    return std::make_tuple(result.best_objective, tuner.replayed_count(),
                            evaluator.total_spent_seconds());
   };
 

@@ -1,13 +1,15 @@
 // Synchronous parallel Bayesian optimization.
 //
 // When `batch_size` training runs can execute concurrently (separate
-// clusters), the tuner proposes a batch per round via the constant-liar
-// heuristic and the round's wall-clock time is the *maximum* of its runs'
-// evaluation times instead of their sum. This driver executes rounds
-// sequentially (the simulated evaluations are single-threaded) but accounts
-// wall clock as a parallel executor would — the quantity experiment R-F13
-// reports. Acquisition scoring inside each proposal can optionally run on a
-// thread pool (`acq_threads`) without changing any proposal.
+// clusters), the tuner proposes a batch per round — `batch_size`
+// outstanding asks of one BoTuner session, each conditioned on
+// kriging-believer fantasies of the ones before it — and the round's
+// wall-clock time is the *maximum* of its runs' evaluation times instead of
+// their sum. This driver executes rounds sequentially (the simulated
+// evaluations are single-threaded) but accounts wall clock as a parallel
+// executor would — the quantity experiment R-F13 reports. Acquisition
+// scoring inside each proposal can optionally run on a thread pool
+// (`acq_threads`) without changing any proposal.
 #pragma once
 
 #include "core/bo_tuner.h"
@@ -17,14 +19,14 @@ namespace autodml::baselines {
 
 struct ParallelBoOptions {
   int batch_size = 4;
-  int rounds = 8;  // total evaluations = batch_size * rounds (+ design)
+  int rounds = 8;  // total evaluations = batch_size * rounds, design included
   core::AcquisitionKind acquisition = core::AcquisitionKind::kLogEi;
   core::EarlyTermOptions early_term;
   core::SurrogateOptions surrogate;
   core::AcqOptimizerOptions acq_optimizer;
   /// Worker threads for acquisition-candidate scoring inside each
-  /// constant-liar proposal (1 = serial). Deterministic at any value: the
-  /// batches — and every number this baseline reports — are identical.
+  /// proposal (1 = serial). Deterministic at any value: the batches — and
+  /// every number this baseline reports — are identical.
   int acq_threads = 1;
   std::uint64_t seed = 1;
 };
@@ -37,8 +39,9 @@ struct ParallelBoResult {
 };
 
 /// First round is a Latin-hypercube design of `batch_size` points; every
-/// later round is a constant-liar batch. Early termination applies once an
-/// incumbent exists.
+/// later round is a kriging-believer batch. Early termination applies once
+/// an incumbent exists, racing each run against the incumbent its round
+/// started with.
 ParallelBoResult parallel_bo(core::ObjectiveFunction& objective,
                              const ParallelBoOptions& options);
 

@@ -12,10 +12,11 @@ AsyncEvalExecutor::AsyncEvalExecutor(std::size_t workers, bool serialize_runs)
       pool_(std::make_unique<util::ThreadPool>(workers < 1 ? 1 : workers)) {}
 
 AsyncEvalExecutor::~AsyncEvalExecutor() {
-  // ~ThreadPool drains the queue; every submitted task runs to completion
-  // (the start gate only ever waits on tickets that are running or done, so
-  // the drain cannot deadlock). Uncollected results are discarded — the
-  // caller abandoning mid-pipeline is an exception path.
+  // ~ThreadPool (the first member destroyed) drains the queue; every
+  // submitted task runs to completion (the start gate only ever waits on
+  // tickets that are running or done, so the drain cannot deadlock).
+  // Uncollected results are discarded — the caller abandoning
+  // mid-pipeline is an exception path.
   results_.clear();
 }
 

@@ -63,7 +63,6 @@ class AsyncEvalExecutor {
 
  private:
   const bool serialize_runs_;
-  std::unique_ptr<util::ThreadPool> pool_;
   /// Pending results in ticket order; next_result() pops the front.
   std::deque<std::future<Trial>> results_;
 
@@ -76,6 +75,9 @@ class AsyncEvalExecutor {
   util::CondVar cv_;
   std::size_t next_ticket_ = 0;                      // producer thread only
   std::size_t next_to_start_ ADML_GUARDED_BY(mu_) = 0;
+  /// Declared last so it is destroyed first: ~ThreadPool drains and joins
+  /// the workers while the gate they lock and notify is still alive.
+  std::unique_ptr<util::ThreadPool> pool_;
 };
 
 }  // namespace autodml::core

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <map>
+#include <set>
 
 #include "analysis/space_lint.h"
 #include "config/sampler.h"
@@ -133,18 +135,17 @@ conf::Config BoTuner::fallback_config() {
   return seq.back();
 }
 
-Trial BoTuner::evaluate(const conf::Config& config, bool allow_early_term,
-                        double incumbent) {
+Trial BoTuner::evaluate(const SessionAsk& ask) const {
   Trial trial;
-  trial.config = config;
-  if (allow_early_term && options_.early_term.enabled) {
-    EarlyTerminationPolicy policy(options_.early_term, incumbent);
-    trial.outcome = objective_->run(config, &policy);
+  trial.config = ask.config;
+  if (ask.allow_early_term) {
+    EarlyTerminationPolicy policy(options_.early_term, ask.incumbent);
+    trial.outcome = objective_->run(ask.config, &policy);
     if (trial.outcome.aborted) {
       trial.outcome.projected_objective = policy.last_projection_unbiased();
     }
   } else {
-    trial.outcome = objective_->run(config, nullptr);
+    trial.outcome = objective_->run(ask.config, nullptr);
   }
   return trial;
 }
@@ -155,6 +156,10 @@ namespace {
 /// safe for the golden-run snapshot.
 constexpr double kSpentHoursBuckets[] = {0.5, 1.0, 2.0, 4.0, 8.0,
                                          16.0, 32.0, 64.0, 128.0};
+
+/// Draws a fallback proposal may take before the space counts as
+/// exhausted. A continuous parameter makes the first draw unique.
+constexpr int kFallbackDraws = 64;
 
 }  // namespace
 
@@ -180,96 +185,159 @@ Trial BoTuner::consume_replay(const conf::Config& config) {
   ++replay_cursor_;
   trial.config = config;
   objective_->notify_replayed(trial);
-  ADML_COUNT("tuner.replayed_trials", 1);
+  ADML_COUNT("tuner.replayed", 1);
   return trial;
 }
 
-Trial BoTuner::next_trial(const conf::Config& config, bool allow_early_term,
-                          double incumbent) {
-  ADML_SPAN("tuner.evaluate");
-  if (replay_cursor_ < replay_.size()) return consume_replay(config);
-  Trial trial = evaluate(config, allow_early_term, incumbent);
-  ADML_HISTOGRAM("tuner.trial_spent_hours", kSpentHoursBuckets,
-                 trial.outcome.spent_seconds / 3600.0);
-  if (trial.outcome.aborted) ADML_COUNT("tuner.early_terminated", 1);
-  if (journal_) {
-    ADML_SPAN("tuner.journal_append");
-    journal_->append(trial);
-  }
-  return trial;
-}
-
-/// One in-flight proposal of the ask/tell pipeline. Created on the main
-/// thread by ask(); the matching evaluation runs on the executor (or was
-/// replayed from the journal), and tell ingests it in index order.
+/// One outstanding ticket: what the evaluator was handed, plus the
+/// kriging-believer placeholder conditioning later asks (never trained
+/// into feasibility/cost models, never journaled).
 struct BoTuner::Proposal {
-  std::int64_t index = 0;
-  conf::Config config;
-  bool allow_early_term = false;
-  /// Incumbent snapshot at proposal time: the freshest deterministically
-  /// known best when this evaluation starts, so the early-termination
-  /// policy races in-flight runs against it (and reclaims the budget of
-  /// hopeless ones) without reading racy cross-thread state.
-  double incumbent = std::numeric_limits<double>::infinity();
-  /// Kriging-believer placeholder conditioning later asks (never trained
-  /// into feasibility/cost models, never journaled).
+  SessionAsk ask;
   Trial fantasy;
-  /// Journal replay: the result was recovered at submit time instead of
-  /// being evaluated.
-  bool replayed = false;
-  Trial replayed_trial;
 };
 
-/// Ask/tell session bookkeeping. The deque of outstanding proposals plays
-/// run_async's `pending` role; `told` buffers results that arrived before an
-/// earlier ticket, so ingestion stays strict-FIFO whatever order a client
-/// (or many client threads behind the service) reports in.
+/// Session bookkeeping shared by every driver. `pending` holds outstanding
+/// tickets in ask order; `told` buffers results (live or replayed) until
+/// their ticket reaches the front, so ingestion stays strict-FIFO whatever
+/// order a driver reports in.
 struct BoTuner::SessionState {
-  bool started = false;
   std::vector<conf::Config> design;
   std::deque<Proposal> pending;
   std::int64_t next_index = 0;
-  std::map<std::int64_t, Trial> told;  // buffered out-of-order tells
+  std::map<std::int64_t, Trial> told;
   TuningResult result;
+  /// The space ran out of unseen configurations (see unseen_draw).
+  bool exhausted = false;
+  /// tune()'s inline depth-one pump. No ask ever sees another ticket
+  /// outstanding, so it computes no fantasies, and its journal records stay
+  /// unstamped (no proposal_index) — byte-compatible with journals and
+  /// metrics snapshots of every earlier revision.
+  bool inline_depth_one = false;
 };
 
 BoTuner::~BoTuner() = default;
+
+BoTuner::SessionState& BoTuner::begin_session(bool inline_depth_one) {
+  session_ = std::make_unique<SessionState>();
+  session_->design = initial_configs();
+  session_->inline_depth_one = inline_depth_one;
+  return *session_;
+}
 
 BoTuner::SessionState& BoTuner::ensure_session() {
   if (tuned_) {
     throw std::logic_error(
         "BoTuner: ask/tell session cannot start after tune()");
   }
-  if (!session_) session_ = std::make_unique<SessionState>();
-  if (!session_->started) {
-    // Same rng_ draw order as run_async: the design is generated before the
-    // first ask, so a session drive replays tune()'s exact stream.
-    session_->design = initial_configs();
-    session_->started = true;
-  }
-  return *session_;
+  return session_ ? *session_ : begin_session(/*inline_depth_one=*/false);
 }
 
 bool BoTuner::session_can_propose() const {
-  const std::size_t trials =
-      session_ ? session_->result.trials.size() : 0;
-  const std::size_t pending = session_ ? session_->pending.size() : 0;
-  const double spent =
-      session_ ? session_->result.total_spent_seconds : 0.0;
-  return static_cast<int>(trials) + static_cast<int>(pending) <
+  static const SessionState kFresh;
+  const SessionState& s = session_ ? *session_ : kFresh;
+  return !s.exhausted &&
+         static_cast<int>(s.result.trials.size() + s.pending.size()) <
              options_.max_evaluations &&
-         spent < options_.max_spent_seconds;
+         s.result.total_spent_seconds < options_.max_spent_seconds;
 }
 
-void BoTuner::ingest_session_front(Trial trial, bool already_journaled) {
+std::optional<conf::Config> BoTuner::unseen_draw(
+    const std::function<conf::Config()>& draw) {
+  const conf::ConfigSpace& space = objective_->space();
+  std::set<math::Vec> seen;
+  for (const Trial& t : history_) seen.insert(space.encode(t.config));
+  for (const Proposal& p : session_->pending)
+    seen.insert(space.encode(p.ask.config));
+  for (int attempt = 0; attempt < kFallbackDraws; ++attempt) {
+    conf::Config config = draw();
+    if (seen.count(space.encode(config)) == 0) return config;
+  }
+  return std::nullopt;
+}
+
+std::optional<BoTuner::SessionAsk> BoTuner::ask() {
   SessionState& s = *session_;
-  Proposal front = std::move(s.pending.front());
+  Proposal p;
+  p.ask.ticket = s.next_index;
+  p.ask.incumbent = s.result.best_objective;
+  SurrogateModel* model = &surrogate_;
+  if (p.ask.ticket < static_cast<std::int64_t>(s.design.size())) {
+    // Initial design: run to completion (uncensored anchors). No model is
+    // consulted, so the fantasy below carries no belief (+inf objective)
+    // and only dedups the pending point.
+    p.ask.config = s.design[static_cast<std::size_t>(p.ask.ticket)];
+  } else {
+    p.ask.allow_early_term = options_.early_term.enabled;
+    // With tickets outstanding, condition the proposal on the history plus
+    // their kriging-believer fantasies, refit into the separate fantasy
+    // model, so the acquisition repels the pending points instead of
+    // re-proposing next to them. The augmented view also dedups them
+    // (propose_candidate rejects exact repeats).
+    std::vector<Trial> augmented;
+    if (!s.pending.empty()) {
+      augmented = history_;
+      augmented.reserve(history_.size() + s.pending.size());
+      for (const Proposal& pe : s.pending) augmented.push_back(pe.fantasy);
+      model = &fantasy_model_;
+    }
+    const std::vector<Trial>& seen = s.pending.empty() ? history_ : augmented;
+    model->update(seen);
+    std::optional<conf::Config> candidate;
+    const bool explore = rng_.bernoulli(options_.random_interleave_prob);
+    if (model->ready() && !explore) {
+      ADML_SPAN("tuner.propose");
+      candidate = propose_candidate(*model, options_.acquisition, seen, rng_,
+                                    options_.acq_optimizer);
+    }
+    if (!candidate && model->degraded()) {
+      // Degraded surrogate: no posterior to maximize, but the run should
+      // still make progress. Quasi-random coverage beats iid uniform here,
+      // and the dedicated stream keeps it reproducible (see
+      // fallback_config).
+      ADML_COUNT("tuner.fallback_proposals", 1);
+      candidate = unseen_draw([this] { return fallback_config(); });
+    }
+    if (!candidate) {
+      ADML_COUNT("tuner.random_proposals", 1);
+      candidate = unseen_draw(
+          [this] { return objective_->space().sample_uniform(rng_); });
+    }
+    if (!candidate) {
+      // Every bounded draw was already evaluated or is pending: resubmitting
+      // one would waste a full (hours-long) evaluation.
+      s.exhausted = true;
+      return std::nullopt;
+    }
+    p.ask.config = std::move(*candidate);
+  }
+  if (!s.inline_depth_one) p.fantasy = make_fantasy_trial(*model, p.ask.config);
+  ++s.next_index;
+  if (replay_cursor_ < replay_.size()) {
+    // Journal record i is ticket i's result. Consuming it here, at ask
+    // time, advances the objective's per-run state in ticket order
+    // relative to the live evaluations asked after it.
+    s.told.emplace(p.ask.ticket, consume_replay(p.ask.config));
+  }
+  SessionAsk out = p.ask;
+  s.pending.push_back(std::move(p));
+  return out;
+}
+
+void BoTuner::ingest_front() {
+  SessionState& s = *session_;
+  const Proposal front = std::move(s.pending.front());
   s.pending.pop_front();
-  // Keep the bit-exact regenerated proposal config: the caller's copy went
-  // through a JSON round trip (consume_replay applies the same rule).
-  trial.config = front.config;
-  trial.proposal_index = front.index;
-  if (!already_journaled) {
+  const auto it = s.told.find(front.ask.ticket);
+  Trial trial = std::move(it->second);
+  s.told.erase(it);
+  // Keep the bit-exact regenerated proposal config: a remote caller's copy
+  // went through a JSON round trip (consume_replay applies the same rule).
+  trial.config = front.ask.config;
+  if (!s.inline_depth_one) trial.proposal_index = front.ask.ticket;
+  // Ticket i < replay_.size() was replayed from journal record i: already
+  // journaled, and already counted when it was first evaluated.
+  if (front.ask.ticket >= static_cast<std::int64_t>(replay_.size())) {
     ADML_HISTOGRAM("tuner.trial_spent_hours", kSpentHoursBuckets,
                    trial.outcome.spent_seconds / 3600.0);
     if (trial.outcome.aborted) ADML_COUNT("tuner.early_terminated", 1);
@@ -278,7 +346,7 @@ void BoTuner::ingest_session_front(Trial trial, bool already_journaled) {
       journal_->append(trial);
     }
   }
-  ADML_DEBUG << "session trial " << s.result.trials.size() << ": "
+  ADML_DEBUG << "trial " << s.result.trials.size() << ": "
              << trial.config.to_string() << " -> "
              << (trial.succeeded() ? trial.outcome.objective : -1.0);
   history_.push_back(trial);
@@ -288,17 +356,9 @@ void BoTuner::ingest_session_front(Trial trial, bool already_journaled) {
 std::size_t BoTuner::drain_replay() {
   SessionState& s = ensure_session();
   std::size_t drained = 0;
-  while (replay_cursor_ < replay_.size() && session_can_propose() &&
-         s.told.empty() && s.pending.empty()) {
-    // Resume is a serial ask->ingest drive: regenerate proposal i, verify it
-    // against journal record i, fold it in. Bit-identical to the original
-    // run because consume_replay keeps the regenerated config and
-    // notify_replayed advances the objective's deterministic state.
-    Proposal p = ask(s.design, s.pending, s.next_index, s.result);
-    ++s.next_index;
-    Trial trial = consume_replay(p.config);
-    s.pending.push_back(std::move(p));
-    ingest_session_front(std::move(trial), /*already_journaled=*/true);
+  while (replay_cursor_ < replay_.size() && s.pending.empty() &&
+         session_can_propose() && ask()) {
+    ingest_front();
     ++drained;
   }
   return drained;
@@ -306,30 +366,21 @@ std::size_t BoTuner::drain_replay() {
 
 std::optional<BoTuner::SessionAsk> BoTuner::ask_next() {
   SessionState& s = ensure_session();
-  if (replay_cursor_ < replay_.size()) drain_replay();
+  drain_replay();
   if (!session_can_propose()) return std::nullopt;
-  Proposal p = ask(s.design, s.pending, s.next_index, s.result);
-  ++s.next_index;
-  SessionAsk out;
-  out.ticket = p.index;
-  out.config = p.config;
-  out.allow_early_term = p.allow_early_term && options_.early_term.enabled;
-  out.incumbent = p.incumbent;
-  s.pending.push_back(std::move(p));
-  ADML_GAUGE_MAX("tuner.session_pending_peak",
-                 static_cast<double>(s.pending.size()));
+  std::optional<SessionAsk> out = ask();
+  if (out) {
+    ADML_GAUGE_MAX("tuner.session_pending_peak",
+                   static_cast<double>(s.pending.size()));
+  }
   return out;
 }
 
 void BoTuner::tell_next(std::int64_t ticket, Trial trial) {
   SessionState& s = ensure_session();
-  bool outstanding = false;
-  for (const Proposal& p : s.pending) {
-    if (p.index == ticket) {
-      outstanding = true;
-      break;
-    }
-  }
+  const bool outstanding =
+      std::any_of(s.pending.begin(), s.pending.end(),
+                  [&](const Proposal& p) { return p.ask.ticket == ticket; });
   if (!outstanding || s.told.count(ticket) != 0) {
     throw std::invalid_argument(
         "BoTuner: tell_next ticket " + std::to_string(ticket) +
@@ -341,13 +392,8 @@ void BoTuner::tell_next(std::int64_t ticket, Trial trial) {
   // Strict-FIFO ingestion: fold in the front ticket and everything buffered
   // contiguously behind it. Journal bytes, surrogate inputs and rng state
   // stay one canonical sequence whatever order reports arrive in.
-  while (!s.pending.empty()) {
-    auto it = s.told.find(s.pending.front().index);
-    if (it == s.told.end()) break;
-    Trial next = std::move(it->second);
-    s.told.erase(it);
-    ingest_session_front(std::move(next), /*already_journaled=*/false);
-  }
+  while (!s.pending.empty() && s.told.count(s.pending.front().ask.ticket))
+    ingest_front();
 }
 
 const TuningResult& BoTuner::session_result() const {
@@ -360,250 +406,108 @@ std::size_t BoTuner::session_pending() const {
 }
 
 bool BoTuner::session_done() const {
-  return !session_can_propose() && session_pending() == 0 &&
-         (!session_ || session_->told.empty());
-}
-
-BoTuner::Proposal BoTuner::ask(const std::vector<conf::Config>& design,
-                               std::deque<Proposal>& pending,
-                               std::int64_t index,
-                               const TuningResult& result) {
-  Proposal p;
-  p.index = index;
-  p.incumbent = result.best_objective;
-  if (index < static_cast<std::int64_t>(design.size())) {
-    // Initial design: run to completion (uncensored anchors), exactly like
-    // the synchronous phase 1. No model is consulted, so the fantasy below
-    // carries no belief (+inf objective) and only dedups the pending point.
-    p.config = design[static_cast<std::size_t>(index)];
-    p.allow_early_term = false;
-    p.fantasy = make_fantasy_trial(surrogate_, p.config);
-    return p;
-  }
-  p.allow_early_term = true;
-  std::optional<conf::Config> candidate;
-  const SurrogateModel* model = &surrogate_;
-  if (pending.empty()) {
-    // Nothing in flight (async_q == 1, or the pipeline drained): identical
-    // to one synchronous phase-2 iteration — same model, same rng draws.
-    surrogate_.update(history_);
-    const bool explore = rng_.bernoulli(options_.random_interleave_prob);
-    if (surrogate_.ready() && !explore) {
-      ADML_SPAN("tuner.propose");
-      candidate = propose_candidate(surrogate_, options_.acquisition,
-                                    history_, rng_, options_.acq_optimizer);
-    }
-  } else {
-    // Pending evaluations: condition the proposal on the history plus the
-    // kriging-believer fantasies, so the acquisition repels the pending
-    // points instead of re-proposing next to them. The augmented view also
-    // dedups in-flight configs (propose_candidate rejects exact repeats).
-    std::vector<Trial> augmented = history_;
-    augmented.reserve(history_.size() + pending.size());
-    for (const Proposal& pe : pending) augmented.push_back(pe.fantasy);
-    fantasy_model_.update(augmented);
-    model = &fantasy_model_;
-    const bool explore = rng_.bernoulli(options_.random_interleave_prob);
-    if (fantasy_model_.ready() && !explore) {
-      ADML_SPAN("tuner.propose");
-      candidate =
-          propose_candidate(fantasy_model_, options_.acquisition, augmented,
-                            rng_, options_.acq_optimizer);
-    }
-  }
-  if (!candidate && model->degraded()) {
-    ADML_COUNT("tuner.fallback_proposals", 1);
-    candidate = fallback_config();
-  }
-  if (!candidate) {
-    ADML_COUNT("tuner.random_proposals", 1);
-    candidate = objective_->space().sample_uniform(rng_);
-  }
-  p.config = std::move(*candidate);
-  p.fantasy = make_fantasy_trial(*model, p.config);
-  return p;
-}
-
-void BoTuner::run_async(TuningResult& result,
-                        const std::function<bool()>& deadline_hit) {
-  const int q = options_.async_q;
-  const std::size_t workers = options_.async_workers > 0
-                                  ? static_cast<std::size_t>(
-                                        options_.async_workers)
-                                  : static_cast<std::size_t>(q);
-  // Objectives with per-run deterministic state run serialized (starts are
-  // still pipelined with proposal work); a concurrent-safe objective gets
-  // real q-way overlap. Either way results ingest in proposal order.
-  AsyncEvalExecutor executor(workers,
-                             !objective_->concurrent_runs_safe());
-  const std::vector<conf::Config> design = initial_configs();
-  std::deque<Proposal> pending;
-  std::int64_t next_index = 0;
-
-  // Budget gate at proposal time: everything recorded plus everything in
-  // flight counts against max_evaluations, so the pipeline never proposes
-  // an evaluation the budget cannot pay for.
-  const auto can_propose = [&] {
-    return static_cast<int>(result.trials.size()) +
-               static_cast<int>(pending.size()) < options_.max_evaluations &&
-           result.total_spent_seconds < options_.max_spent_seconds &&
-           !deadline_hit();
-  };
-
-  while (true) {
-    while (static_cast<int>(pending.size()) < q && can_propose()) {
-      Proposal p = ask(design, pending, next_index, result);
-      ++next_index;
-      if (replay_cursor_ < replay_.size()) {
-        // Recovered from the journal: no evaluation to schedule. The
-        // replay state advances *here*, at submit time, so the objective's
-        // per-run counters tick in proposal order relative to the live
-        // evaluations submitted after this one.
-        p.replayed = true;
-        p.replayed_trial = consume_replay(p.config);
-      } else {
-        executor.submit([this, config = p.config,
-                         allow_early_term = p.allow_early_term,
-                         incumbent = p.incumbent] {
-          return evaluate(config, allow_early_term, incumbent);
-        });
-      }
-      pending.push_back(std::move(p));
-      ADML_GAUGE_SET("tuner.in_flight",
-                     static_cast<double>(executor.in_flight()));
-      ADML_GAUGE_MAX("tuner.in_flight_peak",
-                     static_cast<double>(executor.in_flight()));
-    }
-    if (pending.empty()) break;
-
-    // Tell: ingest the oldest proposal's result. Strict FIFO — completion
-    // order never reaches this thread, so journal bytes, surrogate inputs,
-    // and rng state are one canonical sequence at any worker count.
-    Proposal front = std::move(pending.front());
-    pending.pop_front();
-    Trial trial;
-    if (front.replayed) {
-      trial = std::move(front.replayed_trial);
-      trial.proposal_index = front.index;
-    } else {
-      trial = executor.next_result();
-      trial.proposal_index = front.index;
-      ADML_HISTOGRAM("tuner.trial_spent_hours", kSpentHoursBuckets,
-                     trial.outcome.spent_seconds / 3600.0);
-      if (trial.outcome.aborted) ADML_COUNT("tuner.early_terminated", 1);
-      if (journal_) {
-        ADML_SPAN("tuner.journal_append");
-        journal_->append(trial);
-      }
-    }
-    ADML_GAUGE_SET("tuner.in_flight",
-                   static_cast<double>(executor.in_flight()));
-    ADML_DEBUG << "trial " << result.trials.size() << ": "
-               << trial.config.to_string() << " -> "
-               << (trial.succeeded() ? trial.outcome.objective : -1.0);
-    history_.push_back(trial);
-    record_trial(result, std::move(trial));
-  }
-
-  const util::ThreadPool::Stats stats = executor.pool_stats();
-  ADML_GAUGE_SET("threadpool.eval.submitted",
-                 static_cast<double>(stats.submitted));
-  ADML_GAUGE_SET("threadpool.eval.completed",
-                 static_cast<double>(stats.completed));
-  ADML_GAUGE_MAX("threadpool.eval.peak_queue_depth",
-                 static_cast<double>(stats.peak_queue_depth));
+  return !session_can_propose() && session_pending() == 0;
 }
 
 TuningResult BoTuner::tune() {
   ADML_SPAN("tuner.tune");
-  if (session_ && session_->started) {
+  if (session_) {
     throw std::logic_error("BoTuner: tune() after an ask/tell session began");
   }
+  // Decided once: the executor only when evaluations may overlap (or
+  // async_workers forces it); otherwise every ticket is evaluated inline.
+  const bool use_executor = options_.async_q > 1 || options_.async_workers > 0;
+  SessionState& s = begin_session(/*inline_depth_one=*/!use_executor);
   tuned_ = true;
-  TuningResult result;
   util::Stopwatch wall;
   const auto wall_seconds = [&] {
     return options_.wall_clock ? options_.wall_clock()
                                : wall.elapsed_seconds();
   };
-  // Deadline watchdog: checked between trials, never mid-evaluation. Every
-  // finished trial is already fsynced in the journal, so hitting the
-  // deadline is a clean checkpoint-and-exit, not an abort.
-  const auto deadline_hit = [&] {
-    if (result.wall_deadline_hit) return true;
-    if (!(wall_seconds() >= options_.max_wall_seconds)) return false;
-    result.wall_deadline_hit = true;
+  // Deadline watchdog: checked before each ask, never mid-evaluation.
+  // Outstanding tickets still drain into the fsynced journal, so hitting
+  // the deadline is a clean checkpoint-and-exit, not an abort.
+  const auto can_ask = [&] {
+    if (!session_can_propose()) return false;
+    if (s.result.wall_deadline_hit) return false;
+    if (!(wall_seconds() >= options_.max_wall_seconds)) return true;
+    s.result.wall_deadline_hit = true;
     ADML_COUNT("tuner.wall_deadline_hits", 1);
     ADML_WARN << "tuner: wall-clock deadline (" << options_.max_wall_seconds
-              << "s) reached after " << result.trials.size()
+              << "s) reached after " << s.result.trials.size()
               << " trials; checkpointing and stopping (journal is resumable)";
-    return true;
-  };
-  const auto budget_left = [&] {
-    return static_cast<int>(result.trials.size()) < options_.max_evaluations &&
-           result.total_spent_seconds < options_.max_spent_seconds &&
-           !deadline_hit();
+    return false;
   };
 
-  if (options_.async_q > 1 || options_.async_workers > 0) {
-    // Async pipeline: up to async_q proposals in flight, told back in
-    // strict proposal order. async_workers > 0 with async_q == 1 forces
-    // the pipeline at depth one, which reproduces the synchronous loop.
-    run_async(result, deadline_hit);
+  if (use_executor) {
+    // Objectives with per-run deterministic state run serialized (starts
+    // are still pipelined with proposal work); a concurrent-safe objective
+    // gets real q-way overlap. Either way results ingest in ticket order.
+    AsyncEvalExecutor executor(
+        static_cast<std::size_t>(options_.async_workers > 0
+                                     ? options_.async_workers
+                                     : options_.async_q),
+        !objective_->concurrent_runs_safe());
+    const auto depth = static_cast<std::size_t>(options_.async_q);
+    while (true) {
+      while (s.pending.size() < depth && can_ask()) {
+        const std::optional<SessionAsk> a = ask();
+        if (!a) break;
+        if (s.told.count(a->ticket) == 0)  // not replayed from the journal
+          executor.submit([this, a = *a] { return evaluate(a); });
+        ADML_GAUGE_SET("tuner.in_flight",
+                       static_cast<double>(executor.in_flight()));
+        ADML_GAUGE_MAX("tuner.in_flight_peak",
+                       static_cast<double>(executor.in_flight()));
+      }
+      if (s.pending.empty()) break;
+      // Tell the oldest ticket. Strict FIFO — completion order never
+      // reaches this thread, so journal bytes, surrogate inputs, and rng
+      // state are one canonical sequence at any worker count.
+      const std::int64_t front = s.pending.front().ask.ticket;
+      if (s.told.count(front) == 0) s.told.emplace(front, executor.next_result());
+      ingest_front();
+      ADML_GAUGE_SET("tuner.in_flight",
+                     static_cast<double>(executor.in_flight()));
+    }
+    const util::ThreadPool::Stats stats = executor.pool_stats();
+    ADML_GAUGE_SET("threadpool.eval.submitted",
+                   static_cast<double>(stats.submitted));
+    ADML_GAUGE_SET("threadpool.eval.completed",
+                   static_cast<double>(stats.completed));
+    ADML_GAUGE_MAX("threadpool.eval.peak_queue_depth",
+                   static_cast<double>(stats.peak_queue_depth));
   } else {
-    // Phase 1: initial design, run to completion (uncensored anchors).
+    // Inline depth one: ask, evaluate on this thread, tell.
+    const auto step = [&] {
+      const std::optional<SessionAsk> a = ask();
+      if (!a) return;
+      ADML_SPAN("tuner.evaluate");
+      if (s.told.count(a->ticket) == 0) s.told.emplace(a->ticket, evaluate(*a));
+      ingest_front();
+    };
     {
       ADML_SPAN("tuner.initial_design");
-      for (const conf::Config& config : initial_configs()) {
-        if (!budget_left()) break;
-        Trial trial = next_trial(config, /*allow_early_term=*/false,
-                                 result.best_objective);
-        history_.push_back(trial);
-        record_trial(result, std::move(trial));
-      }
+      while (s.next_index < static_cast<std::int64_t>(s.design.size()) &&
+             can_ask())
+        step();
     }
-
-    // Phase 2: model-guided search.
-    while (budget_left()) {
+    while (can_ask()) {
       ADML_SPAN("tuner.iteration");
-      surrogate_.update(history_);
-      std::optional<conf::Config> candidate;
-      const bool explore = rng_.bernoulli(options_.random_interleave_prob);
-      if (surrogate_.ready() && !explore) {
-        ADML_SPAN("tuner.propose");
-        candidate = propose_candidate(surrogate_, options_.acquisition,
-                                      history_, rng_, options_.acq_optimizer);
-      }
-      if (!candidate && surrogate_.degraded()) {
-        // Degraded surrogate: no posterior to maximize, but the run should
-        // still make progress. Quasi-random coverage beats iid uniform
-        // here, and the dedicated stream keeps it reproducible (see
-        // fallback_config).
-        ADML_COUNT("tuner.fallback_proposals", 1);
-        candidate = fallback_config();
-      }
-      if (!candidate) {
-        ADML_COUNT("tuner.random_proposals", 1);
-        candidate = objective_->space().sample_uniform(rng_);
-      }
-      Trial trial = next_trial(*candidate, /*allow_early_term=*/true,
-                               result.best_objective);
-      ADML_DEBUG << "trial " << result.trials.size() << ": "
-                 << trial.config.to_string() << " -> "
-                 << (trial.succeeded() ? trial.outcome.objective : -1.0);
-      history_.push_back(trial);
-      record_trial(result, std::move(trial));
+      step();
     }
   }
 
   // Leave the surrogate fitted on everything seen (sensitivity analysis) —
   // unless the wall deadline fired: the watchdog's contract is a prompt
   // exit, and a resumed process refits from the journal anyway.
-  if (!result.wall_deadline_hit) surrogate_.update(history_);
-  ADML_COUNT("tuner.trials", static_cast<std::int64_t>(result.trials.size()));
-  if (result.found_feasible())
-    ADML_GAUGE_SET("tuner.best_objective", result.best_objective);
-  ADML_GAUGE_ADD("tuner.simulated_spent_seconds", result.total_spent_seconds);
+  if (!s.result.wall_deadline_hit) surrogate_.update(history_);
+  ADML_COUNT("tuner.trials",
+             static_cast<std::int64_t>(s.result.trials.size()));
+  if (s.result.found_feasible())
+    ADML_GAUGE_SET("tuner.best_objective", s.result.best_objective);
+  ADML_GAUGE_ADD("tuner.simulated_spent_seconds",
+                 s.result.total_spent_seconds);
   if (acq_pool_) {
     const util::ThreadPool::Stats stats = acq_pool_->stats();
     ADML_GAUGE_SET("threadpool.acq.submitted",
@@ -613,7 +517,7 @@ TuningResult BoTuner::tune() {
     ADML_GAUGE_MAX("threadpool.acq.peak_queue_depth",
                    static_cast<double>(stats.peak_queue_depth));
   }
-  return result;
+  return std::move(s.result);
 }
 
 }  // namespace autodml::core

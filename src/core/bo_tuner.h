@@ -1,27 +1,34 @@
 // The AutoDML tuner: Bayesian optimization over distributed-ML system
 // configurations. This is the paper's primary contribution.
 //
-// Loop structure:
-//   1. Space-filling initial design (Latin hypercube by default), evaluated
-//      to completion — the model needs uncensored observations to anchor.
-//   2. Repeat until the evaluation or simulated-time budget is exhausted:
-//      fit the surrogate (objective + feasibility + cost GPs), maximize the
-//      acquisition over a mixed candidate pool, evaluate the winner under
-//      the early-termination policy (hopeless runs are killed from their
-//      learning curve), record the trial.
+// Loop structure: one ask/tell core, driven three ways.
+//   ask   — the next proposal. The first initial_design_size tickets are a
+//           space-filling design (Latin hypercube by default), evaluated to
+//           completion: the model needs uncensored observations to anchor.
+//           Every later ticket fits the surrogate (objective + feasibility +
+//           cost GPs) and maximizes the acquisition over a mixed candidate
+//           pool, conditioned on kriging-believer fantasies of the tickets
+//           still outstanding.
+//   evaluate — run the proposal under the early-termination policy
+//           (hopeless runs are killed from their learning curve).
+//   tell  — record the trial; results are ingested strictly in ticket order.
+// Drivers: tune() pumps up to async_q tickets (evaluated inline, or on an
+// AsyncEvalExecutor when async_q > 1 or async_workers > 0) and adds the
+// wall-clock deadline; ask_next()/tell_next() hand the loop to an external
+// driver (the service daemon, baselines::parallel_bo).
 // Warm-start trials (R-F9) are folded into the surrogate but are not
 // charged against the budget or reported in the result's trial list.
 //
 // Crash safety: with `journal_path` set, every evaluated trial is appended
 // to a fsynced line-delimited journal before the loop proceeds. A process
 // killed mid-tune resumes by pointing a new tuner (same seed, same options)
-// at the same journal: journaled trials are *replayed* — folded into the
-// result, the budget, and the surrogate without re-evaluating, while the
-// objective advances its deterministic per-run state via notify_replayed —
-// so the continuation is bit-identical to an uninterrupted run.
+// at the same journal: journal record i is *replayed* when ticket i is
+// asked — folded into the result, the budget, and the surrogate without
+// re-evaluating, while the objective advances its deterministic per-run
+// state via notify_replayed — so the continuation is bit-identical to an
+// uninterrupted run.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -67,21 +74,22 @@ struct BoOptions {
   /// (see AcqOptimizerOptions::pool for the determinism contract), so this
   /// only changes latency, never results.
   int acq_threads = 1;
-  /// Keep up to async_q evaluations in flight on a dedicated executor pool
-  /// (1 = the classic synchronous loop). Proposals made while evaluations
-  /// are pending are conditioned on kriging-believer fantasies of the
-  /// pending points (see make_fantasy_trial); results are ingested,
-  /// journaled, and folded into the surrogate strictly in proposal order,
-  /// so incumbents are bit-identical and journals byte-identical at any
+  /// tune() keeps up to async_q tickets in flight (1 = one proposal at a
+  /// time, evaluated inline on the calling thread). Proposals made while
+  /// evaluations are pending are conditioned on kriging-believer fantasies
+  /// of the pending points (see make_fantasy_trial); results are ingested,
+  /// journaled, and folded into the surrogate strictly in ticket order, so
+  /// incumbents are bit-identical and journals byte-identical at any
   /// async_workers count. Resume requires the same async_q (like seed).
-  /// Budget note: max_spent_seconds is checked at proposal time, so an
-  /// async run can overshoot it by up to async_q in-flight evaluations
-  /// (the synchronous loop already overshoots by one).
+  /// Budget note: max_spent_seconds is checked at proposal time, so a run
+  /// can overshoot it by up to async_q in-flight evaluations.
   int async_q = 1;
-  /// Executor worker threads for async evaluation (0 = use async_q).
-  /// Changes latency only, never results. Setting this with async_q == 1
-  /// forces the async pipeline at depth one, which reproduces the
-  /// synchronous loop's trial sequence bit for bit (tested).
+  /// Executor worker threads for tune() (0 = use async_q). tune() evaluates
+  /// on an AsyncEvalExecutor when async_q > 1 or this is set, and inline
+  /// otherwise; the executor changes latency only, never results. Setting
+  /// this with async_q == 1 forces the executor at depth one, which
+  /// reproduces the inline loop's trial sequence bit for bit (tested) but
+  /// stamps journal records with their proposal_index.
   int async_workers = 0;
   std::uint64_t seed = 1;
 };
@@ -91,31 +99,32 @@ class BoTuner {
   BoTuner(ObjectiveFunction& objective, BoOptions options);
   ~BoTuner();
 
-  /// Runs the full loop. Call once.
+  /// Runs the full loop: pumps the ask/tell core below until the budget or
+  /// the wall deadline is exhausted. Call once.
   TuningResult tune();
 
   /// Surrogate after tune(); used by the sensitivity experiment.
   const SurrogateModel& surrogate() const { return surrogate_; }
 
-  /// Trials recovered from the journal instead of evaluated (after tune()).
-  std::size_t replayed_trials() const { return replay_cursor_; }
+  /// Trials recovered from the journal instead of evaluated.
+  std::size_t replayed_count() const { return replay_cursor_; }
 
-  // ---- ask/tell session mode (the service daemon's driving API) ----------
+  // ---- ask/tell session mode (the driving API for external loops) --------
   //
   // Instead of tune() owning the loop, an external driver alternates
   // ask_next() (get a proposal to evaluate elsewhere) and tell_next()
   // (report the outcome). The op sequence fully determines the results:
   // a serial ask->tell drive is bit-identical to tune() with
-  // async_workers == 1 (the forced-async depth-one pipeline), and a
+  // async_workers == 1 (the forced-executor depth-one pump), and a
   // k-outstanding drive matches async_q == k with the same interleave.
   // Results are ingested — journaled, folded into the surrogate, recorded —
   // in strict ticket order regardless of tell arrival order, exactly like
-  // run_async's FIFO collection. tune() and session mode are mutually
+  // tune()'s FIFO collection. tune() and session mode are mutually
   // exclusive on one instance.
 
-  /// One proposal handed to an external evaluator. `incumbent` snapshots
-  /// the best objective at ask time so a remote early-termination policy
-  /// can race the run against it.
+  /// One proposal handed to an evaluator. `incumbent` snapshots the best
+  /// objective at ask time so an early-termination policy can race the run
+  /// against it.
   struct SessionAsk {
     std::int64_t ticket = 0;
     conf::Config config;
@@ -126,7 +135,9 @@ class BoTuner {
   /// Next proposal, conditioned on history plus kriging-believer fantasies
   /// of every outstanding (asked, not yet told) ticket. Replays any pending
   /// journal records first (see drain_replay). Returns nullopt when the
-  /// evaluation/spent budget cannot pay for another proposal.
+  /// evaluation/spent budget cannot pay for another proposal, or when the
+  /// space is exhausted (every bounded fallback draw was already evaluated
+  /// or is pending).
   std::optional<SessionAsk> ask_next();
 
   /// Reports the outcome for an outstanding ticket. The trial's config is
@@ -136,9 +147,16 @@ class BoTuner {
   /// unknown or already-told ticket.
   void tell_next(std::int64_t ticket, Trial trial);
 
-  /// Replays every journaled trial into the session (resume-by-replay),
-  /// returning how many were recovered. Called implicitly by ask_next();
-  /// explicit use lets a daemon restore state before serving traffic.
+  /// Evaluates `ask` locally: runs the objective under the early-termination
+  /// policy when the ask allows it, racing the run against the ask's
+  /// incumbent snapshot. Touches no tuner state, so a driver may call it
+  /// from any thread (tune()'s executor does).
+  Trial evaluate(const SessionAsk& ask) const;
+
+  /// Replays every journaled trial into the session (resume-by-replay) as a
+  /// serial ask->tell drive, returning how many were recovered. Called
+  /// implicitly by ask_next(); explicit use lets a daemon restore state
+  /// before serving traffic.
   std::size_t drain_replay();
 
   /// Live view of the session's result (incumbent, trials, curve).
@@ -147,45 +165,42 @@ class BoTuner {
   /// Outstanding tickets: asked but not yet ingested.
   std::size_t session_pending() const;
 
-  /// True once the budget is exhausted and every ticket has been told.
+  /// True once no further ticket can be asked and every ticket was told.
   bool session_done() const;
 
  private:
-  struct Proposal;      // pending ask/tell bookkeeping (see bo_tuner.cpp)
+  struct Proposal;      // an outstanding ticket (see bo_tuner.cpp)
   struct SessionState;  // ask/tell session bookkeeping (see bo_tuner.cpp)
 
-  /// Lazily starts the session (initial design drawn on first use, matching
-  /// run_async's rng order); throws after tune().
+  /// Session for the public ask/tell API; starts it on first use and
+  /// throws after tune().
   SessionState& ensure_session();
-  /// Budget gate shared by ask_next/drain_replay; mirrors run_async's
-  /// can_propose (minus the wall deadline — a daemon has no tune() watchdog).
+  /// Starts the session: draws the initial design (the first rng_ use).
+  /// `inline_depth_one` marks tune()'s inline pump (see SessionState).
+  SessionState& begin_session(bool inline_depth_one);
+  /// Budget gate shared by every driver: trials recorded plus tickets
+  /// outstanding must fit max_evaluations, spent time max_spent_seconds,
+  /// and the space must not be exhausted. tune() adds the wall deadline.
   bool session_can_propose() const;
-  /// Pops the oldest outstanding proposal and ingests `trial` for it:
-  /// proposal-index stamp, metrics, journal append (live results only),
-  /// surrogate history, incumbent update.
-  void ingest_session_front(Trial trial, bool already_journaled);
-
-  Trial evaluate(const conf::Config& config, bool allow_early_term,
-                 double incumbent);
-  /// Journal-aware evaluation: replays the next journaled trial when one is
-  /// pending (verifying it matches `config`), otherwise evaluates live and
-  /// journals the result before returning.
-  Trial next_trial(const conf::Config& config, bool allow_early_term,
-                   double incumbent);
-  /// Pops the next journaled trial, verifying it matches the regenerated
-  /// proposal `config`, and advances the objective's replay state.
-  Trial consume_replay(const conf::Config& config);
-  /// The ask half of the ask/tell split: the next proposal, conditioned on
-  /// the history plus kriging-believer fantasies of every pending proposal.
+  /// The ask half: the next ticket, pushed onto the outstanding queue.
   /// Deterministic — all rng draws happen here, on the caller's thread.
-  Proposal ask(const std::vector<conf::Config>& design,
-               std::deque<Proposal>& pending, std::int64_t index,
-               const TuningResult& result);
-  /// The async pipeline behind tune() when async_q > 1 (or async_workers
-  /// forces it): fill the executor to async_q proposals, then tell results
-  /// back in strict proposal order.
-  void run_async(TuningResult& result,
-                 const std::function<bool()>& deadline_hit);
+  /// When journal record `ticket` exists it is consumed here, as the
+  /// ticket's result. nullopt (and the session marked exhausted) when
+  /// every bounded fallback draw collides with a seen configuration.
+  std::optional<SessionAsk> ask();
+  /// The single ingest path: pops the oldest outstanding ticket, whose
+  /// result must already be told, and folds it in — proposal-index stamp,
+  /// metrics and journal append (live results only), surrogate history,
+  /// incumbent update.
+  void ingest_front();
+  /// Pops journal record `replay_cursor_`, verifying it matches the
+  /// regenerated proposal `config`, and advances the objective's replay
+  /// state.
+  Trial consume_replay(const conf::Config& config);
+  /// First of a bounded number of `draw()` results that is neither in the
+  /// history nor outstanding; nullopt when every draw collides.
+  std::optional<conf::Config> unseen_draw(
+      const std::function<conf::Config()>& draw);
   std::vector<conf::Config> initial_configs();
   /// Quasi-random proposal used while the surrogate is degraded. Driven by
   /// a dedicated seed-derived Halton stream — not rng_ and not the thread
@@ -198,16 +213,17 @@ class BoTuner {
   util::Rng rng_;
   std::unique_ptr<util::ThreadPool> acq_pool_;  // when acq_threads > 1
   SurrogateModel surrogate_;
-  /// Async mode only: the surrogate refit on history + pending fantasies.
-  /// Kept separate from surrogate_ so fantasy beliefs never leak into the
-  /// model the sensitivity analysis (and the final fit) reads.
+  /// The surrogate refit on history + fantasies of the outstanding tickets,
+  /// used by every ask made while another ticket is outstanding. Kept
+  /// separate from surrogate_ so fantasy beliefs never leak into the model
+  /// the sensitivity analysis (and the final fit) reads.
   SurrogateModel fantasy_model_;
   std::vector<Trial> history_;  // warm start + own trials
-  std::vector<Trial> replay_;  // journaled trials pending replay
+  std::vector<Trial> replay_;  // journaled trials; record i is ticket i
   std::size_t replay_cursor_ = 0;
   std::unique_ptr<TrialJournal> journal_;
   std::size_t fallback_index_ = 0;  // Halton cursor for degraded proposals
-  std::unique_ptr<SessionState> session_;  // non-null once session mode began
+  std::unique_ptr<SessionState> session_;  // non-null once a driver began
   bool tuned_ = false;                     // tune() ran (or is running)
 };
 

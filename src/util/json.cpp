@@ -68,9 +68,14 @@ class Parser {
     skip_whitespace();
     switch (peek()) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (++depth_ > kMaxJsonDepth)
+          fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+               " levels");
+        JsonValue v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"':
         return JsonValue(parse_string());
       case 't':
@@ -226,6 +231,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // containers currently open
 };
 
 void escape_into(std::string& out, const std::string& s) {

@@ -61,8 +61,15 @@ class JsonValue {
       value_;
 };
 
+/// Deepest container nesting parse_json accepts. The parser recurses once
+/// per level, so an unbounded depth would let one hostile line (a ~50 KB
+/// run of '[') overflow the stack; no document this library reads nests
+/// beyond a handful of levels.
+inline constexpr int kMaxJsonDepth = 128;
+
 /// Parse a complete JSON document; throws std::invalid_argument with a
-/// character offset on malformed input (including trailing garbage).
+/// character offset on malformed input (including trailing garbage and
+/// nesting deeper than kMaxJsonDepth).
 JsonValue parse_json(std::string_view text);
 
 /// Serialize; `indent` > 0 pretty-prints with that many spaces per level.

@@ -7,8 +7,8 @@
 // bit-identical at any thread count), and by core::AsyncEvalExecutor to
 // keep async_q evaluations in flight with ticket-ordered starts and FIFO
 // ingestion. baselines::parallel_bo still *simulates* q-way evaluation
-// parallelism with kriging-believer batches and wall-clock accounting —
-// its evaluations never run on threads.
+// parallelism — synchronous rounds of outstanding BoTuner asks with
+// wall-clock accounting — and its evaluations never run on threads.
 //
 // Shutdown contract: the destructor marks the pool stopped, wakes every
 // worker, and joins. Workers keep pulling until the queue is drained, so

@@ -2,7 +2,9 @@
 
 #include <cmath>
 
+#include "config/sampler.h"
 #include "core/acquisition_optimizer.h"
+#include "core/bo_tuner.h"
 #include "synthetic_objective.h"
 
 namespace autodml::core {
@@ -188,63 +190,105 @@ TEST(AcqOptimizer, NeighborhoodSeedsComeFromBestTrials) {
   EXPECT_LT(std::abs(candidate->get_double("x") - 0.31), 0.45);
 }
 
+/// Two booleans, four configurations, every run crashes: a tuner over it
+/// never has a posterior, so every proposal goes through the fallbacks.
+class CrashingBoolPair final : public ObjectiveFunction {
+ public:
+  CrashingBoolPair() {
+    space_.add(conf::ParamSpec::boolean("a"));
+    space_.add(conf::ParamSpec::boolean("b"));
+  }
+  const conf::ConfigSpace& space() const override { return space_; }
+  double target_metric() const override { return 0.9; }
+  RunOutcome run(const conf::Config&, RunController*) override {
+    ++runs;
+    RunOutcome out;
+    out.feasible = false;
+    out.failure = "crash";
+    out.spent_seconds = 1.0;
+    return out;
+  }
+  int runs = 0;
+
+ private:
+  conf::ConfigSpace space_;
+};
+
 TEST(ProposeBatch, UniformFallbackRespectsEvaluatedConfigs) {
   // Four-config discrete space, three already evaluated — all infeasible,
   // so the surrogate never becomes ready and every proposal goes through
   // the uniform fallback. The fallback must skip the evaluated configs
-  // (resubmitting one wastes an hours-long run) and stop once the space is
-  // exhausted instead of padding the batch with duplicates.
-  conf::ConfigSpace space;
-  space.add(conf::ParamSpec::boolean("a"));
-  space.add(conf::ParamSpec::boolean("b"));
-  const std::vector<conf::Config> all = space.enumerate();
+  // (resubmitting one wastes an hours-long run) and report the space
+  // exhausted instead of proposing a duplicate.
+  CrashingBoolPair objective;
+  const std::vector<conf::Config> all = objective.space().enumerate();
   ASSERT_EQ(all.size(), 4u);
-  std::vector<Trial> history;
+  BoOptions options;
+  options.seed = 17;
+  options.initial_design_size = 0;
   for (std::size_t i = 0; i + 1 < all.size(); ++i) {
     Trial t;
     t.config = all[i];
     t.outcome.feasible = false;  // crashed: no surrogate signal
-    history.push_back(std::move(t));
+    options.warm_start.push_back(std::move(t));
   }
-  util::Rng rng(17);
-  const std::vector<conf::Config> batch = propose_batch(
-      space, {}, AcquisitionKind::kLogEi, history, /*batch_size=*/4, rng);
-  ASSERT_EQ(batch.size(), 1u);  // only one config was never evaluated
-  EXPECT_TRUE(batch[0] == all.back());
-  for (const Trial& t : history) {
-    EXPECT_FALSE(batch[0] == t.config);
-  }
+  BoTuner tuner(objective, options);
+  const std::optional<BoTuner::SessionAsk> ask = tuner.ask_next();
+  ASSERT_TRUE(ask.has_value());  // only one config was never evaluated
+  EXPECT_TRUE(ask->config == all.back());
+  tuner.tell_next(ask->ticket, tuner.evaluate(*ask));
+  EXPECT_FALSE(tuner.ask_next().has_value());
+  EXPECT_TRUE(tuner.session_done());
+  EXPECT_EQ(objective.runs, 1);
+  ASSERT_EQ(tuner.session_result().trials.size(), 1u);
+  EXPECT_TRUE(tuner.session_result().trials[0].config == all.back());
 }
 
 TEST(ProposeBatch, BatchMirrorsKrigingBelieverByHand) {
-  // Replay propose_batch's kriging-believer loop by hand: fit on the real
-  // history, propose, append a make_fantasy_trial belief at the posterior
-  // mean, repeat. propose_batch must produce the identical batch — any
-  // divergence means its internal fantasy construction drifted from the
-  // documented heuristic (e.g. the removed constant liar at the incumbent).
+  // Replay BoTuner's kriging-believer asks by hand: the first outstanding
+  // ticket is proposed from the surrogate fit on the real history; every
+  // later one from the fantasy model refit on history plus a
+  // make_fantasy_trial belief at the posterior mean of each earlier
+  // ticket. k outstanding asks must produce the identical batch — any
+  // divergence means the fantasy construction drifted from the documented
+  // heuristic (e.g. the removed constant liar at the incumbent).
   SyntheticObjective objective;
   const auto history = quadratic_history(objective, 25, 19);
-
   const std::uint64_t seed = 23;
-  util::Rng batch_rng(seed);
-  const std::vector<conf::Config> batch =
-      propose_batch(objective.space(), {}, AcquisitionKind::kEiPerCost,
-                    history, /*batch_size=*/3, batch_rng);
-  ASSERT_EQ(batch.size(), 3u);
+  BoOptions options;
+  options.seed = seed;
+  options.initial_design_size = 0;
+  options.random_interleave_prob = 0.0;
+  options.acquisition = AcquisitionKind::kEiPerCost;
+  options.warm_start = history;
+  BoTuner tuner(objective, options);
+  std::vector<conf::Config> batch;
+  for (int i = 0; i < 3; ++i) {
+    const std::optional<BoTuner::SessionAsk> ask = tuner.ask_next();
+    ASSERT_TRUE(ask.has_value());
+    batch.push_back(ask->config);
+  }
 
+  // BoTuner's rng order: the (empty) initial design, then one exploration
+  // coin and one propose_candidate per ask. Its two models are seeded as
+  // in the constructor.
   util::Rng mirror_rng(seed);
-  SurrogateOptions mirror_options;
-  mirror_options.hyperopt_every = 1 << 20;
-  SurrogateModel model(objective.space(), mirror_options,
-                       mirror_rng.split().next_u64());
+  SurrogateModel model(objective.space(), {},
+                       util::Rng(seed).split().next_u64());
+  SurrogateModel fantasy_model(
+      objective.space(), {},
+      util::Rng(seed ^ 0x517cc1b727220a95ULL).split().next_u64());
+  ASSERT_TRUE(conf::latin_hypercube(objective.space(), 0, mirror_rng).empty());
   std::vector<Trial> augmented = history;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    model.update(augmented);
+    SurrogateModel& fit = i == 0 ? model : fantasy_model;
+    fit.update(augmented);
+    ASSERT_FALSE(mirror_rng.bernoulli(0.0));
     const auto expected = propose_candidate(
-        model, AcquisitionKind::kEiPerCost, augmented, mirror_rng);
+        fit, AcquisitionKind::kEiPerCost, augmented, mirror_rng);
     ASSERT_TRUE(expected.has_value());
     EXPECT_TRUE(batch[i] == *expected) << "batch member " << i;
-    augmented.push_back(make_fantasy_trial(model, *expected));
+    augmented.push_back(make_fantasy_trial(fit, *expected));
   }
 }
 

@@ -181,9 +181,9 @@ void expect_same_trials(const TuningResult& a, const TuningResult& b) {
 }
 
 TEST(AsyncTuner, ForcedDepthOnePipelineReproducesSynchronousLoop) {
-  // async_workers > 0 with async_q == 1 routes through the async pipeline
-  // at depth one; a pending-free ask() is one synchronous phase-2 iteration,
-  // so the trial sequence must match the classic loop bit for bit.
+  // async_workers > 0 with async_q == 1 pumps the ask/tell core through the
+  // executor at depth one; every ask is pending-free exactly as in the
+  // inline pump, so the trial sequence must match it bit for bit.
   SyntheticObjective sync_objective;
   BoTuner sync_tuner(sync_objective, fast_options(31, 12));
   const TuningResult sync = sync_tuner.tune();
@@ -194,8 +194,8 @@ TEST(AsyncTuner, ForcedDepthOnePipelineReproducesSynchronousLoop) {
   const TuningResult async = async_tuner.tune();
 
   expect_same_trials(sync, async);
-  // Only the async path stamps proposal indices (sync journals must stay
-  // byte-identical to pre-async revisions).
+  // Only the executor path stamps proposal indices (inline journals must
+  // stay byte-identical to pre-async revisions).
   for (std::size_t i = 0; i < sync.trials.size(); ++i) {
     EXPECT_EQ(sync.trials[i].proposal_index, -1) << i;
     EXPECT_EQ(async.trials[i].proposal_index, static_cast<std::int64_t>(i))
@@ -264,7 +264,7 @@ TEST(AsyncTuner, MidBatchDeadlineCheckpointResumesToReferenceBytes) {
   BoTuner tuner(resumed, options);
   const TuningResult got = tuner.tune();
   EXPECT_FALSE(got.wall_deadline_hit);
-  EXPECT_GT(tuner.replayed_trials(), 0u);
+  EXPECT_GT(tuner.replayed_count(), 0u);
   EXPECT_EQ(util::read_file(journal), ref.journal);
   expect_same_trials(ref.result, got);
   std::remove(journal.c_str());
@@ -314,7 +314,7 @@ TEST(AsyncJournal, OutOfOrderRecordsSortByProposalIndexAndResume) {
   options.journal_path = journal;
   BoTuner tuner(resumed, options);
   const TuningResult got = tuner.tune();
-  EXPECT_EQ(tuner.replayed_trials(), 6u);
+  EXPECT_EQ(tuner.replayed_count(), 6u);
   expect_same_trials(ref.result, got);
   std::remove(journal.c_str());
 }

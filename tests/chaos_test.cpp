@@ -135,7 +135,7 @@ TEST(Journal, DuplicatedTailIsDedupedAndResumeMatchesReference) {
   EXPECT_EQ(repaired.trials.size(), 5u);
 
   const TuningResult got = tuner.tune();
-  EXPECT_EQ(tuner.replayed_trials(), 5u);
+  EXPECT_EQ(tuner.replayed_count(), 5u);
   EXPECT_EQ(resumed.total_runs(), 2);
   ASSERT_EQ(got.trials.size(), want.trials.size());
   EXPECT_DOUBLE_EQ(got.best_objective, want.best_objective);
@@ -234,7 +234,7 @@ TEST(Watchdog, DeadlineCheckpointsAndResumeMatchesReference) {
   BoTuner tuner(resumed, options);
   const TuningResult got = tuner.tune();
   EXPECT_FALSE(got.wall_deadline_hit);
-  EXPECT_GT(tuner.replayed_trials(), 0u);
+  EXPECT_GT(tuner.replayed_count(), 0u);
   ASSERT_EQ(got.trials.size(), want.trials.size());
   EXPECT_DOUBLE_EQ(got.best_objective, want.best_objective);
   EXPECT_TRUE(got.best_config == want.best_config);

@@ -1,5 +1,5 @@
 // Tests for the tuner extensions: deadline-constrained objectives, batch
-// (constant-liar) proposals, synchronous parallel BO, variance-based
+// proposals (outstanding asks), synchronous parallel BO, variance-based
 // sensitivity, and tuning-session persistence.
 #include <gtest/gtest.h>
 
@@ -117,30 +117,41 @@ std::vector<core::Trial> seed_history(SyntheticObjective& objective, int n,
   return history;
 }
 
+/// k outstanding ask_next tickets: a batch of kriging-believer proposals.
+std::vector<conf::Config> outstanding_asks(core::BoTuner& tuner, int k) {
+  std::vector<conf::Config> batch;
+  for (int i = 0; i < k; ++i) {
+    if (auto ask = tuner.ask_next()) batch.push_back(std::move(ask->config));
+  }
+  return batch;
+}
+
 TEST(BatchProposals, ReturnsDistinctConfigs) {
   SyntheticObjective objective;
-  const auto history = seed_history(objective, 10, 3);
-  util::Rng rng(4);
-  core::SurrogateOptions options;
-  options.gp.restarts = 1;
-  const auto batch = core::propose_batch(
-      objective.space(), options, core::AcquisitionKind::kLogEi, history, 4,
-      rng);
+  core::BoOptions options;
+  options.seed = 4;
+  options.initial_design_size = 0;
+  options.surrogate.gp.restarts = 1;
+  options.warm_start = seed_history(objective, 10, 3);
+  core::BoTuner tuner(objective, options);
+  const auto batch = outstanding_asks(tuner, 4);
   EXPECT_EQ(batch.size(), 4u);
   std::set<math::Vec> unique;
   for (const auto& c : batch) {
     objective.space().validate(c);
     unique.insert(objective.space().encode(c));
   }
-  EXPECT_EQ(unique.size(), 4u);  // the liar pushes proposals apart
+  EXPECT_EQ(unique.size(), 4u);  // the fantasies push proposals apart
 }
 
 TEST(BatchProposals, WorksWithEmptyHistory) {
   SyntheticObjective objective;
-  util::Rng rng(5);
-  const auto batch =
-      core::propose_batch(objective.space(), {}, core::AcquisitionKind::kEi,
-                          {}, 3, rng);
+  core::BoOptions options;
+  options.seed = 5;
+  options.initial_design_size = 0;
+  options.acquisition = core::AcquisitionKind::kEi;
+  core::BoTuner tuner(objective, options);
+  const auto batch = outstanding_asks(tuner, 3);
   EXPECT_EQ(batch.size(), 3u);
   for (const auto& c : batch) objective.space().validate(c);
 }

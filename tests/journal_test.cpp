@@ -71,7 +71,7 @@ TEST(Journal, ResumeReachesTheSameIncumbentAsUninterruptedRun) {
   BoTuner tuner(resumed, options);
   const TuningResult got = tuner.tune();
 
-  EXPECT_EQ(tuner.replayed_trials(), static_cast<std::size_t>(crash_after));
+  EXPECT_EQ(tuner.replayed_count(), static_cast<std::size_t>(crash_after));
   EXPECT_EQ(resumed.total_runs(), full_budget - crash_after);
   ASSERT_EQ(got.trials.size(), want.trials.size());
   EXPECT_DOUBLE_EQ(got.best_objective, want.best_objective);

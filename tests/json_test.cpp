@@ -53,6 +53,27 @@ TEST(JsonParse, Errors) {
   }
 }
 
+TEST(JsonParse, NestingDepthIsBounded) {
+  const auto arrays = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  const auto objects = [](int depth) {
+    std::string text;
+    for (int i = 0; i < depth; ++i) text += R"({"a":)";
+    return text + "1" + std::string(static_cast<std::size_t>(depth), '}');
+  };
+  EXPECT_NO_THROW(parse_json(arrays(kMaxJsonDepth)));
+  EXPECT_NO_THROW(parse_json(objects(kMaxJsonDepth)));
+  EXPECT_THROW(parse_json(arrays(kMaxJsonDepth + 1)), std::invalid_argument);
+  EXPECT_THROW(parse_json(objects(kMaxJsonDepth + 1)), std::invalid_argument);
+  // The frame that overflowed the stack before the limit existed: ~50 KB
+  // of unclosed brackets must fail cleanly, not crash.
+  const std::string hostile =
+      R"({"op":"ping","id":1,"x":)" + std::string(50000, '[');
+  EXPECT_THROW(parse_json(hostile), std::invalid_argument);
+}
+
 TEST(JsonParse, TrailingGarbageRejected) {
   EXPECT_THROW(parse_json("{} {}"), std::invalid_argument);
 }

@@ -349,7 +349,7 @@ TEST(SurrogateRff, JournalResumeReplaysAcrossABackendSwitch) {
   BoTuner tuner(resumed, options);
   const TuningResult got = tuner.tune();
 
-  EXPECT_EQ(tuner.replayed_trials(), static_cast<std::size_t>(crash_after));
+  EXPECT_EQ(tuner.replayed_count(), static_cast<std::size_t>(crash_after));
   ASSERT_EQ(got.trials.size(), want.trials.size());
   for (std::size_t i = 0; i < got.trials.size(); ++i) {
     EXPECT_TRUE(got.trials[i].config == want.trials[i].config) << i;

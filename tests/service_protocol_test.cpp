@@ -85,6 +85,21 @@ TEST(ServiceProtocol, MalformedFramesAreTypedBadFrame) {
   expect_error(manager, R"({"op":"ping",})", errc::kBadFrame);
 }
 
+TEST(ServiceProtocol, DeeplyNestedFrameIsBadFrameAndDaemonStaysUp) {
+  // ~50 KB of '[' used to recurse the JSON parser off the end of the stack
+  // and take the whole daemon (every tenant's sessions) down with it.
+  SessionManager manager;
+  expect_error(manager,
+               R"({"op":"ping","id":1,"x":)" + std::string(50000, '['),
+               errc::kBadFrame);
+  expect_error(manager,
+               R"({"op":"ping","id":2,"x":)" +
+                   std::string(util::kMaxJsonDepth, '[') +
+                   std::string(util::kMaxJsonDepth, ']') + "}",
+               errc::kBadFrame);
+  expect_ok(manager, R"({"op":"ping","id":3})");
+}
+
 TEST(ServiceProtocol, MissingOrIllTypedFieldsAreBadRequest) {
   SessionManager manager;
   expect_error(manager, R"({"id":7})", errc::kBadRequest);  // no op

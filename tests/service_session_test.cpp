@@ -95,7 +95,7 @@ std::string report_line(const std::string& id, SyntheticObjective& objective,
 
 /// Drives a session keeping up to `k` suggestions outstanding (k = 1 is
 /// the serial drive), reporting the oldest first — the exact interleave
-/// run_async uses at async_q == k. Returns the final status response.
+/// tune() uses at async_q == k. Returns the final status response.
 JsonValue drive(SessionManager& manager, const std::string& id, int k) {
   SyntheticObjective objective;
   std::deque<JsonValue> outstanding;
@@ -166,7 +166,7 @@ TEST(ServiceSession, TwoOutstandingDriveMatchesAsyncDepthTwo) {
 TEST(ServiceSession, OutOfOrderReportsBufferIntoFifoIngestion) {
   // Three suggestions outstanding, reported 2, 0, 1: ingestion (journal
   // appends, surrogate folds) must still happen in ticket order, which is
-  // exactly run_async at q == 3 — so the journals must match bytewise.
+  // exactly tune() at async_q == 3 — so the journals must match bytewise.
   const std::string ref_journal = temp_path("svc_ref_q3.journal");
   SyntheticObjective reference;
   core::BoOptions options = reference_options(23, 3, /*q=*/3, /*workers=*/3);
