@@ -14,16 +14,21 @@
 //   (d) per-trial hyperopt against the every-k + evidence-triggered refit
 //       schedule, at n = 256;
 //   (e) serial against thread-pool acquisition scoring (n <= 1024),
-//       asserting the parallel proposal is identical to the serial one.
+//       asserting the parallel proposal is identical to the serial one;
+//   (f) one negative-LML evaluation, value + gradient, at a fresh theta
+//       (n <= 1024, the exact path's range), and for n <= 256 whether
+//       -negative_lml(fitted theta) reproduces log_marginal_likelihood()
+//       bit for bit after a short hyperparameter fit.
 // Results land in BENCH_inner_loop.json to extend the repo's performance
 // trajectory; CI runs `--smoke` and uploads the file as an artifact.
-// Non-zero exit when the parallel proposal diverges or the RFF accuracy
-// gate fails.
+// Non-zero exit when the parallel proposal diverges, the fitted LML
+// disagrees with the LML pass, or the RFF accuracy gate fails.
 //
 // Usage: bench_inner_loop [--smoke] [--out=BENCH_inner_loop.json]
 //                         [--reps=N] [--threads=K] [--rff-features=M]
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <iostream>
 #include <numeric>
 #include <string>
@@ -148,7 +153,51 @@ struct SizeResult {
   double rff_fit_ms = 0.0;
   double rff_append_ms = 0.0;
   double rff_mean_err_std = 0.0;
+  // Negative LML value + gradient at a fresh theta; fitted-LML identity.
+  bool lml_measured = false;
+  double lml_ms = 0.0;
+  bool lml_checked = false;
+  bool lml_identical = true;
 };
+
+/// Mean wall time of one negative_lml call (value + gradient) on n points,
+/// each rep at a theta the memo has not seen.
+double measure_lml_ms(const math::Matrix& x, std::span<const double> y,
+                      int reps) {
+  gp::GpOptions gp_options;
+  gp_options.optimize_hyperparams = false;
+  gp::GaussianProcess model(std::make_unique<gp::Matern52Ard>(kDim),
+                            gp_options);
+  model.refit(x, y);
+  std::vector<double> ms;
+  for (int r = 0; r < reps; ++r) {
+    math::Vec theta = model.kernel().hyperparams();
+    theta.push_back(std::log(gp_options.initial_noise));
+    for (double& t : theta) t += 1e-3 * static_cast<double>(r + 1);
+    util::Stopwatch watch;
+    const auto result = model.negative_lml(theta);
+    ms.push_back(watch.elapsed_ms());
+    if (!std::isfinite(result.value)) std::cerr << "warning: LML not finite\n";
+  }
+  return mean_ms(ms);
+}
+
+/// After a short hyperparameter fit, the LML pass at the fitted theta must
+/// reproduce the model's own log marginal likelihood bit for bit.
+bool fitted_lml_identical(const math::Matrix& x, std::span<const double> y) {
+  gp::GpOptions gp_options;
+  gp_options.restarts = 0;
+  gp_options.adam_iterations = 15;
+  gp_options.polish_iterations = 0;
+  gp::GaussianProcess model(std::make_unique<gp::Matern52Ard>(kDim),
+                            gp_options);
+  util::Rng rng(5);
+  model.fit(x, y, rng);
+  const double from_pass =
+      -model.negative_lml(model.fitted_hyperparams()).value;
+  const double lml = model.log_marginal_likelihood();
+  return std::memcmp(&from_pass, &lml, sizeof(double)) == 0;
+}
 
 SizeResult measure(std::size_t n, int reps, int candidates, int rff_features,
                    util::ThreadPool& pool) {
@@ -309,6 +358,19 @@ SizeResult measure(std::size_t n, int reps, int candidates, int rff_features,
     out.rff_append_ms = mean_ms(append_ms);
   }
 
+  // ---- negative LML: value + gradient, fitted-theta identity ----
+  if (n <= 1024) {
+    out.lml_measured = true;
+    // A small-n evaluation takes microseconds; more samples steady the mean.
+    const int lml_reps =
+        n > 512 ? 1 : reps * std::max(1, 256 / static_cast<int>(n));
+    out.lml_ms = measure_lml_ms(x, y, lml_reps);
+  }
+  if (n <= 256) {
+    out.lml_checked = true;
+    out.lml_identical = fitted_lml_identical(x, y);
+  }
+
   // ---- acquisition proposal: serial vs pooled, identical winner ----
   if (n <= 1024) {
     out.propose_measured = true;
@@ -389,6 +451,7 @@ int main(int argc, char** argv) {
 
   util::ThreadPool pool(threads);
   bool all_identical = true;
+  bool lml_identical = true;
   bool accuracy_ok = true;
   double err_sum = 0.0;
   util::JsonArray rows;
@@ -396,6 +459,7 @@ int main(int argc, char** argv) {
   for (std::size_t n : sizes) {
     const SizeResult r = measure(n, reps, candidates, rff_features, pool);
     all_identical = all_identical && r.propose_identical;
+    lml_identical = lml_identical && r.lml_identical;
     err_sum += r.rff_mean_err_std;
     if (r.rff_mean_err_std > kRffSizeErrGate) accuracy_ok = false;
     const double surrogate_speedup =
@@ -427,6 +491,8 @@ int main(int argc, char** argv) {
     row["rff_append_ms"] = r.rff_append_ms;
     row["rff_refit_speedup"] = rff_refit_speedup;
     row["rff_mean_err_std"] = r.rff_mean_err_std;
+    if (r.lml_measured) row["lml_ms"] = r.lml_ms;
+    if (r.lml_checked) row["lml_identical"] = r.lml_identical;
     if (r.propose_measured) {
       row["propose_serial_ms"] = r.propose_serial_ms;
       row["propose_parallel_ms"] = r.propose_parallel_ms;
@@ -443,6 +509,8 @@ int main(int argc, char** argv) {
                      util::fmt(r.rff_append_ms, 3),
                      util::fmt(rff_refit_speedup, 3),
                      util::fmt(r.rff_mean_err_std, 3),
+                     r.lml_measured ? util::fmt(r.lml_ms, 3) : "-",
+                     r.lml_checked ? (r.lml_identical ? "yes" : "NO") : "-",
                      r.propose_measured
                          ? (r.propose_identical ? "yes" : "NO")
                          : "-"});
@@ -463,7 +531,8 @@ int main(int argc, char** argv) {
   const std::vector<std::string> header = {
       "n",        "gp_full_ms", "gp_incr_ms", "gp_x",
       "chol_scalar_ms", "chol_blocked_ms", "chol_x",
-      "rff_incr_ms", "rff_x", "rff_err_std", "identical"};
+      "rff_incr_ms", "rff_x", "rff_err_std", "lml_ms", "lml_identical",
+      "identical"};
   std::cout << "\n=== R-P11: BO inner-loop latency (reps=" << reps
             << ", threads=" << threads << ", candidates=" << candidates
             << ", rff_features=" << rff_features << ") ===\n"
@@ -492,6 +561,11 @@ int main(int argc, char** argv) {
 
   if (!all_identical) {
     std::cerr << "FAIL: parallel proposal diverged from serial\n";
+    return 1;
+  }
+  if (!lml_identical) {
+    std::cerr << "FAIL: -negative_lml(fitted theta) differs from "
+                 "log_marginal_likelihood()\n";
     return 1;
   }
   const double err_mean = err_sum / static_cast<double>(sizes.size());

@@ -63,10 +63,11 @@
 //                                  client sends {"op":"shutdown"}.
 //
 // Exit code 0 on success, 1 on user error, 2 on "no feasible config found".
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <exception>
-#include <iostream>
 #include <memory>
 #include <string>
 
@@ -76,6 +77,7 @@
 #include "core/session_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "service/frame_reader.h"
 #include "service/server.h"
 #include "service/session_manager.h"
 #include "util/arg_parse.h"
@@ -516,13 +518,13 @@ int cmd_serve(const util::ArgParser& args) {
   }
   // --stdio (the default): one request line in, one response line out.
   // Scriptable from anything that can pipe LDJSON; also the transport the
-  // protocol conformance tests drive.
-  std::string line;
-  while (!manager.shutdown_requested() && std::getline(std::cin, line)) {
-    if (line.empty()) continue;
-    std::fputs((manager.handle_line(line) + "\n").c_str(), stdout);
+  // protocol conformance tests drive. Same capped frame reader as the
+  // socket transport.
+  service::serve_stream(STDIN_FILENO, manager, [](const std::string& line) {
+    std::fputs(line.c_str(), stdout);
     std::fflush(stdout);
-  }
+    return true;
+  });
   return 0;
 }
 

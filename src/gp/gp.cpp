@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -27,12 +28,15 @@ GaussianProcess::GaussianProcess(std::unique_ptr<Kernel> kernel,
       options_(options),
       log_noise_(std::log(options.initial_noise)) {
   if (!kernel_) throw std::invalid_argument("GaussianProcess: null kernel");
+  lml_kernel_ = kernel_->clone();
 }
 
 GaussianProcess::GaussianProcess(const GaussianProcess& other)
     : kernel_(other.kernel_->clone()),
+      lml_kernel_(other.lml_kernel_->clone()),
       options_(other.options_),
       log_noise_(other.log_noise_),
+      fitted_theta_(other.fitted_theta_),
       x_(other.x_),
       targets_raw_(other.targets_raw_),
       targets_std_(other.targets_std_),
@@ -52,6 +56,7 @@ math::Vec GaussianProcess::packed_hypers() const {
 void GaussianProcess::apply_packed(std::span<const double> packed) {
   kernel_->set_hyperparams(packed.subspan(0, packed.size() - 1));
   log_noise_ = packed.back();
+  fitted_theta_.assign(packed.begin(), packed.end());
 }
 
 GaussianProcess::LmlResult GaussianProcess::negative_lml(
@@ -64,16 +69,21 @@ GaussianProcess::LmlResult GaussianProcess::negative_lml(
   }
   ADML_COUNT("gp.lml_evals", 1);
 
-  // Evaluate on a scratch clone so the public state stays untouched.
-  auto k = kernel_->clone();
-  k->set_hyperparams(packed.subspan(0, packed.size() - 1));
+  // The scratch kernel carries the trial hyperparameters so the public
+  // state stays untouched; set_hyperparams reuses its storage.
+  lml_kernel_->set_hyperparams(packed.subspan(0, packed.size() - 1));
+  const Kernel& k = *lml_kernel_;
   const double noise_var = std::exp(packed.back());
 
+  // Fused pass 1: each lower-triangle pair's Gram entry and gradient
+  // coefficient from one kernel evaluation, stored row-major for pass 2.
   const std::size_t n = targets_std_.size();
   math::Matrix gram(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      const double v = k->eval(x_.row(i), x_.row(j));
+  std::vector<Kernel::PairTerms> pairs(n * (n + 1) / 2);
+  for (std::size_t i = 0, p = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j, ++p) {
+      pairs[p] = k.eval_pair(x_.row(i), x_.row(j));
+      const double v = pairs[p].value;
       AUTODML_CHECK(std::isfinite(v),
                     "GP kernel produced non-finite value " +
                         std::to_string(v) + " for training pair (" +
@@ -104,24 +114,27 @@ GaussianProcess::LmlResult GaussianProcess::negative_lml(
   // factor (~n^3/3 flops for inverse + symmetric product) instead of n
   // unit-vector solves (~2n^3). Only the lower half is needed: both W and
   // dK/dtheta are symmetric, so each off-diagonal pair contributes twice.
-  const math::Matrix linv = factor.lower_inverse();
+  // Rows of L^{-T} are columns of L^{-1}: the inner product walks two
+  // contiguous rows (same terms, same order) instead of two strided columns.
+  const math::Matrix linv_t = factor.lower_inverse().transposed();
   math::Matrix kinv_lower(n, n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j <= i; ++j) {
       double acc = 0.0;
-      for (std::size_t kk = i; kk < n; ++kk) acc += linv(kk, i) * linv(kk, j);
+      for (std::size_t kk = i; kk < n; ++kk)
+        acc += linv_t(i, kk) * linv_t(j, kk);
       kinv_lower(i, j) = acc;
     }
   }
+  // Fused pass 2: same pair-major accumulation, reusing pass 1's terms.
   const std::size_t n_kernel = packed.size() - 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
+  for (std::size_t i = 0, p = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j, ++p) {
       const double w = alpha[i] * alpha[j] - kinv_lower(i, j);
       const double pair_weight = (i == j) ? 1.0 : 2.0;
-      const math::Vec dk = k->grad_hyper(x_.row(i), x_.row(j));
-      for (std::size_t t = 0; t < n_kernel; ++t) {
-        out.grad[t] += -0.5 * pair_weight * w * dk[t];  // negative LML
-      }
+      // Negative LML: -0.5 * pair_weight * w * dk/dtheta per kernel hyper.
+      k.add_scaled_grad(x_.row(i), x_.row(j), pairs[p],
+                        -0.5 * pair_weight * w, out.grad);
       if (i == j) out.grad[n_kernel] += -0.5 * w * noise_var;
     }
   }

@@ -83,7 +83,20 @@ class GaussianProcess final : public Regressor {
   /// data. Public as a diagnostic/testing surface (gradient checks); the
   /// result is memoized per (theta, data) so the hyperopt loop's repeated
   /// evaluations at boundary-projected iterates are free.
+  ///
+  /// One fused kernel pass per training pair (Kernel::eval_pair, then
+  /// Kernel::add_scaled_grad in the gradient pass): no kernel clone and no
+  /// per-pair allocation, O(n^2) scratch. Bit-identical to the separate
+  /// eval + grad_hyper formulation, which survives only as the test oracle
+  /// in tests/lml_oracle_test.cpp.
   LmlResult negative_lml(std::span<const double> packed) const;
+
+  /// Packed log-hyperparameters exactly as the last hyperparameter
+  /// optimization in fit() applied them; empty until one ran. Right after
+  /// that fit, -negative_lml(fitted_hyperparams()) equals
+  /// log_marginal_likelihood() bit for bit (kernel().hyperparams() returns
+  /// log(exp(theta)), which may differ from theta in the last bit).
+  std::span<const double> fitted_hyperparams() const { return fitted_theta_; }
 
  private:
   void factorize();
@@ -91,8 +104,12 @@ class GaussianProcess final : public Regressor {
   void apply_packed(std::span<const double> packed);
 
   std::unique_ptr<Kernel> kernel_;
+  /// Scratch copy negative_lml loads each trial theta into (no per-call
+  /// clone); only negative_lml touches it, like lml_cache_.
+  mutable std::unique_ptr<Kernel> lml_kernel_;
   GpOptions options_;
   double log_noise_;
+  math::Vec fitted_theta_;  // see fitted_hyperparams()
 
   math::Matrix x_;
   math::Vec targets_raw_;

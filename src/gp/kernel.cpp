@@ -51,40 +51,55 @@ math::Vec ArdKernelBase::inverse_lengthscales() const {
   return out;
 }
 
-math::Vec ArdKernelBase::scaled_sq_diffs(std::span<const double> a,
-                                         std::span<const double> b) const {
+double ArdKernelBase::scaled_sq_dist(std::span<const double> a,
+                                     std::span<const double> b) const {
   if (a.size() != lengthscales_.size() || b.size() != lengthscales_.size())
     throw std::invalid_argument("kernel: input dimension mismatch");
-  math::Vec u(lengthscales_.size());
-  for (std::size_t d = 0; d < u.size(); ++d) {
+  double r2 = 0.0;
+  for (std::size_t d = 0; d < lengthscales_.size(); ++d) {
     const double diff = (a[d] - b[d]) / lengthscales_[d];
-    u[d] = diff * diff;
+    r2 += diff * diff;
   }
-  return u;
+  return r2;
+}
+
+void ArdKernelBase::add_scaled_grad(std::span<const double> a,
+                                    std::span<const double> b,
+                                    const PairTerms& terms, double scale,
+                                    std::span<double> grad) const {
+  const std::size_t dim = lengthscales_.size();
+  for (std::size_t d = 0; d < dim; ++d) {
+    const double diff = (a[d] - b[d]) / lengthscales_[d];
+    grad[d] += scale * (terms.coeff * (diff * diff));
+  }
+  grad[dim] += scale * terms.value;  // d/d log s^2 = k
 }
 
 // ---- Squared exponential ---------------------------------------------------
 
 double SquaredExponentialArd::eval(std::span<const double> a,
                                    std::span<const double> b) const {
-  const auto u = scaled_sq_diffs(a, b);
-  double s = 0.0;
-  for (double ud : u) s += ud;
-  return signal_variance_ * std::exp(-0.5 * s);
+  return signal_variance_ * std::exp(-0.5 * scaled_sq_dist(a, b));
 }
 
 math::Vec SquaredExponentialArd::grad_hyper(std::span<const double> a,
                                             std::span<const double> b) const {
-  const auto u = scaled_sq_diffs(a, b);
-  double s = 0.0;
-  for (double ud : u) s += ud;
-  const double k = signal_variance_ * std::exp(-0.5 * s);
+  const double k = signal_variance_ * std::exp(-0.5 * scaled_sq_dist(a, b));
   math::Vec grad(num_hyperparams());
   // d/d log l_d: u_d depends on l_d as l_d^{-2}; d u_d / d log l_d = -2 u_d,
   // so d k / d log l_d = k * u_d.
-  for (std::size_t d = 0; d < u.size(); ++d) grad[d] = k * u[d];
+  for (std::size_t d = 0; d + 1 < grad.size(); ++d) {
+    const double diff = (a[d] - b[d]) / lengthscales_[d];
+    grad[d] = k * (diff * diff);
+  }
   grad.back() = k;  // d/d log s^2
   return grad;
+}
+
+Kernel::PairTerms SquaredExponentialArd::eval_pair(
+    std::span<const double> a, std::span<const double> b) const {
+  const double k = eval(a, b);
+  return {k, k};
 }
 
 std::unique_ptr<Kernel> SquaredExponentialArd::clone() const {
@@ -95,9 +110,7 @@ std::unique_ptr<Kernel> SquaredExponentialArd::clone() const {
 
 double Matern52Ard::eval(std::span<const double> a,
                          std::span<const double> b) const {
-  const auto u = scaled_sq_diffs(a, b);
-  double r2 = 0.0;
-  for (double ud : u) r2 += ud;
+  const double r2 = scaled_sq_dist(a, b);
   const double r = std::sqrt(r2);
   return signal_variance_ * (1.0 + kSqrt5 * r + (5.0 / 3.0) * r2) *
          std::exp(-kSqrt5 * r);
@@ -105,19 +118,29 @@ double Matern52Ard::eval(std::span<const double> a,
 
 math::Vec Matern52Ard::grad_hyper(std::span<const double> a,
                                   std::span<const double> b) const {
-  const auto u = scaled_sq_diffs(a, b);
-  double r2 = 0.0;
-  for (double ud : u) r2 += ud;
+  const double r2 = scaled_sq_dist(a, b);
   const double r = std::sqrt(r2);
   const double e = std::exp(-kSqrt5 * r);
   math::Vec grad(num_hyperparams());
   // dk/dr = -(5/3) r (1 + sqrt5 r) e^{-sqrt5 r}; dr/d log l_d = -u_d / r.
   // Product has no 1/r singularity: dk/d log l_d = s^2 (5/3)(1+sqrt5 r) e u_d.
   const double coeff = signal_variance_ * (5.0 / 3.0) * (1.0 + kSqrt5 * r) * e;
-  for (std::size_t d = 0; d < u.size(); ++d) grad[d] = coeff * u[d];
+  for (std::size_t d = 0; d + 1 < grad.size(); ++d) {
+    const double diff = (a[d] - b[d]) / lengthscales_[d];
+    grad[d] = coeff * (diff * diff);
+  }
   grad.back() =
       signal_variance_ * (1.0 + kSqrt5 * r + (5.0 / 3.0) * r2) * e;
   return grad;
+}
+
+Kernel::PairTerms Matern52Ard::eval_pair(std::span<const double> a,
+                                         std::span<const double> b) const {
+  const double r2 = scaled_sq_dist(a, b);
+  const double r = std::sqrt(r2);
+  const double e = std::exp(-kSqrt5 * r);
+  return {signal_variance_ * (1.0 + kSqrt5 * r + (5.0 / 3.0) * r2) * e,
+          signal_variance_ * (5.0 / 3.0) * (1.0 + kSqrt5 * r) * e};
 }
 
 std::unique_ptr<Kernel> Matern52Ard::clone() const {

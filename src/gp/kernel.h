@@ -35,11 +35,30 @@ class Kernel {
   virtual math::Vec grad_hyper(std::span<const double> a,
                                std::span<const double> b) const = 0;
 
+  /// One pair's share of the fused LML pass: `value` equals eval(a, b) and
+  /// `coeff` is the pair's gradient coefficient consumed by add_scaled_grad.
+  struct PairTerms {
+    double value = 0.0;
+    double coeff = 0.0;
+  };
+  virtual PairTerms eval_pair(std::span<const double> a,
+                              std::span<const double> b) const = 0;
+
+  /// grad[i] += scale * grad_hyper(a, b)[i] for every hyperparameter, bit
+  /// for bit, given terms = eval_pair(a, b). Allocates nothing.
+  virtual void add_scaled_grad(std::span<const double> a,
+                               std::span<const double> b,
+                               const PairTerms& terms, double scale,
+                               std::span<double> grad) const = 0;
+
   virtual std::unique_ptr<Kernel> clone() const = 0;
 };
 
 /// Common state for ARD kernels over [0,1]^dim encodings: one lengthscale
-/// per input dimension plus a signal variance.
+/// per input dimension plus a signal variance. Both ARD kernels are radial
+/// in r^2 = sum_d u_d, u_d = ((a_d-b_d)/l_d)^2, so their gradients share one
+/// shape: dk/dlog l_d = c(r) u_d and dk/dlog s^2 = k. eval_pair returns
+/// {k, c(r)}; add_scaled_grad is common to both.
 class ArdKernelBase : public Kernel {
  public:
   explicit ArdKernelBase(std::size_t dim);
@@ -59,10 +78,15 @@ class ArdKernelBase : public Kernel {
   /// sensitivity experiment (large value = the knob matters).
   math::Vec inverse_lengthscales() const;
 
+  void add_scaled_grad(std::span<const double> a, std::span<const double> b,
+                       const PairTerms& terms, double scale,
+                       std::span<double> grad) const final;
+
  protected:
-  /// Scaled squared distance terms u_d = (a_d-b_d)^2 / l_d^2.
-  math::Vec scaled_sq_diffs(std::span<const double> a,
-                            std::span<const double> b) const;
+  /// r^2 = sum_d u_d, accumulated in dimension order. Throws
+  /// std::invalid_argument on an input dimension mismatch.
+  double scaled_sq_dist(std::span<const double> a,
+                        std::span<const double> b) const;
 
   std::vector<double> lengthscales_;
   double signal_variance_ = 1.0;
@@ -76,6 +100,8 @@ class SquaredExponentialArd final : public ArdKernelBase {
               std::span<const double> b) const override;
   math::Vec grad_hyper(std::span<const double> a,
                        std::span<const double> b) const override;
+  PairTerms eval_pair(std::span<const double> a,
+                      std::span<const double> b) const override;
   std::unique_ptr<Kernel> clone() const override;
 };
 
@@ -89,6 +115,8 @@ class Matern52Ard final : public ArdKernelBase {
               std::span<const double> b) const override;
   math::Vec grad_hyper(std::span<const double> a,
                        std::span<const double> b) const override;
+  PairTerms eval_pair(std::span<const double> a,
+                      std::span<const double> b) const override;
   std::unique_ptr<Kernel> clone() const override;
 };
 

@@ -17,6 +17,7 @@ namespace autodml::service {
 /// Stable protocol error codes (the "error" field of a failure response).
 namespace errc {
 inline constexpr const char* kBadFrame = "bad-frame";
+inline constexpr const char* kFrameTooLarge = "frame-too-large";
 inline constexpr const char* kBadRequest = "bad-request";
 inline constexpr const char* kUnknownOp = "unknown-op";
 inline constexpr const char* kUnknownSession = "unknown-session";

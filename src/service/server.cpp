@@ -11,17 +11,20 @@
 #include <stdexcept>
 
 #include "obs/metrics.h"
+#include "service/frame_reader.h"
 #include "util/log.h"
 
 namespace autodml::service {
 
 namespace {
 
-/// write() until the whole buffer is out (short writes, EINTR).
+/// send() until the whole buffer is out (short writes, EINTR). A peer that
+/// hung up yields EPIPE instead of a process-killing SIGPIPE.
 bool write_all(int fd, const std::string& data) {
   std::size_t off = 0;
   while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+    const ssize_t n =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -124,28 +127,8 @@ void SocketServer::serve() {
 }
 
 void SocketServer::handle_connection(int fd) {
-  std::string buffer;
-  char chunk[4096];
-  bool open = true;
-  while (open) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;  // EOF or error (including shutdown())
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start);
-         nl != std::string::npos; nl = buffer.find('\n', start)) {
-      std::string line = buffer.substr(start, nl - start);
-      start = nl + 1;
-      if (line.empty()) continue;
-      const std::string response = manager_->handle_line(line);
-      if (!write_all(fd, response + "\n")) {
-        open = false;
-        break;
-      }
-    }
-    buffer.erase(0, start);
-  }
+  serve_stream(fd, *manager_,
+               [fd](const std::string& line) { return write_all(fd, line); });
   // Unregister before close: once close() returns the kernel may hand the
   // same fd number to a new accept(), and a late erase would unregister
   // the *new* connection (leaving it invisible to shutdown).

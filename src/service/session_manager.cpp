@@ -6,6 +6,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/error.h"
+#include "service/frame_reader.h"
 
 namespace autodml::service {
 
@@ -168,6 +169,13 @@ std::string SessionManager::handle_line(const std::string& line) {
   } catch (const std::exception& e) {
     return format_error(request, errc::kInternal, e.what());
   }
+}
+
+std::string SessionManager::reject_oversized_frame() {
+  ADML_COUNT("service.requests", 1);
+  return format_error(Request{}, errc::kFrameTooLarge,
+                      "request frame exceeds " +
+                          std::to_string(kMaxFrameBytes) + " bytes");
 }
 
 std::string SessionManager::dispatch(const Request& request) {

@@ -67,6 +67,11 @@ class SessionManager {
   /// is a typed {"ok": false, "error": ...} response. Thread-safe.
   std::string handle_line(const std::string& line);
 
+  /// The reply to a frame the transport dropped for exceeding
+  /// kMaxFrameBytes: a typed frame-too-large error, counted in
+  /// service.requests and service.errors like every other reply.
+  std::string reject_oversized_frame();
+
   /// True once a shutdown request was served (the socket server polls it).
   bool shutdown_requested() const;
 

@@ -3,14 +3,24 @@
 // come back as a typed {"ok":false,"error":CODE} response — never an
 // uncaught exception, never a crash — and a seeded fuzz loop over mutated
 // frames holds the same invariant. Also pins the space/config JSON
-// round-trip the wire format depends on.
+// round-trip the wire format depends on, and the frame-size cap both
+// transports share.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
+#include <cstring>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "service/error.h"
+#include "service/frame_reader.h"
+#include "service/server.h"
 #include "service/session_manager.h"
 #include "service/space_json.h"
 #include "synthetic_objective.h"
@@ -353,6 +363,157 @@ TEST(ServiceProtocol, FuzzedFramesNeverCrashAndAlwaysAnswerJson) {
     // an "ok" field, and the process is still here to send it.
     (void)call(manager, frame);
   }
+}
+
+// ---- frame size cap (FrameReader, shared by --stdio and the socket) -------
+
+/// A pipe whose write end a helper thread fills with `data` and then
+/// closes, so payloads larger than the pipe buffer do not deadlock.
+class FedPipe {
+ public:
+  explicit FedPipe(std::string data) {
+    int fds[2];
+    if (::pipe(fds) != 0) throw std::runtime_error("pipe() failed");
+    read_fd_ = fds[0];
+    writer_ = std::thread([fd = fds[1], data = std::move(data)] {
+      std::size_t off = 0;
+      while (off < data.size()) {
+        const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+        if (n <= 0) break;
+        off += static_cast<std::size_t>(n);
+      }
+      ::close(fd);
+    });
+  }
+  FedPipe(const FedPipe&) = delete;
+  FedPipe& operator=(const FedPipe&) = delete;
+  ~FedPipe() {
+    char sink[4096];
+    while (::read(read_fd_, sink, sizeof(sink)) > 0) {
+    }
+    writer_.join();
+    ::close(read_fd_);
+  }
+  int fd() const { return read_fd_; }
+
+ private:
+  int read_fd_ = -1;
+  std::thread writer_;
+};
+
+TEST(ServiceFrames, OversizedLinesAreReportedOnceAndSkipped) {
+  FedPipe pipe("ping\n" + std::string(kMaxFrameBytes + 2, 'x') + "\n" +
+               "\n" + std::string(kMaxFrameBytes, 'y') + "\n" +
+               std::string(3 * kMaxFrameBytes, 'z') +  // past the cap 3 times
+               "\nlast");  // unterminated final line
+  FrameReader reader(pipe.fd());
+  using Status = FrameReader::Status;
+  std::string frame;
+  ASSERT_EQ(reader.next(frame), Status::kFrame);
+  EXPECT_EQ(frame, "ping");
+  EXPECT_EQ(reader.next(frame), Status::kTooLarge);
+  ASSERT_EQ(reader.next(frame), Status::kFrame);
+  EXPECT_EQ(frame, "");
+  ASSERT_EQ(reader.next(frame), Status::kFrame);
+  EXPECT_EQ(frame, std::string(kMaxFrameBytes, 'y'));
+  EXPECT_EQ(reader.next(frame), Status::kTooLarge);
+  ASSERT_EQ(reader.next(frame), Status::kFrame);
+  EXPECT_EQ(frame, "last");
+  EXPECT_EQ(reader.next(frame), Status::kEnd);
+  EXPECT_EQ(reader.next(frame), Status::kEnd);
+}
+
+TEST(ServiceFrames, OversizedFrameIsCountedAsAFailedRequest) {
+  auto& registry = obs::MetricsRegistry::instance();
+  registry.enable();
+  registry.reset();
+  FedPipe pipe(R"({"op":"ping"})" "\n" + std::string(kMaxFrameBytes + 1, 'x') +
+               "\n" R"({"op":"ping"})" "\n");
+  SessionManager manager;
+  std::vector<std::string> replies;
+  serve_stream(pipe.fd(), manager, [&replies](const std::string& reply) {
+    replies.push_back(reply);
+    return true;
+  });
+  ASSERT_EQ(replies.size(), 3u);
+  const JsonValue too_large = util::parse_json(replies[1]);
+  EXPECT_FALSE(too_large.at("ok").as_bool());
+  EXPECT_EQ(too_large.at("error").as_string(), errc::kFrameTooLarge);
+  EXPECT_TRUE(util::parse_json(replies[2]).at("ok").as_bool());
+  EXPECT_EQ(registry.counter("service.requests").value(), 3);
+  EXPECT_EQ(registry.counter("service.errors").value(), 1);
+  registry.disable();
+}
+
+TEST(ServiceFrames, DefaultCapAdmitsOneMebibyteAndRejectsMore) {
+  FedPipe pipe(std::string(kMaxFrameBytes, 'a') + "\n" +
+               std::string(kMaxFrameBytes + 1, 'b') + "\n" +
+               R"({"op":"ping"})" + "\n");
+  FrameReader reader(pipe.fd());
+  std::string frame;
+  ASSERT_EQ(reader.next(frame), FrameReader::Status::kFrame);
+  EXPECT_EQ(frame.size(), kMaxFrameBytes);
+  EXPECT_EQ(reader.next(frame), FrameReader::Status::kTooLarge);
+  ASSERT_EQ(reader.next(frame), FrameReader::Status::kFrame);
+  EXPECT_EQ(frame, R"({"op":"ping"})");
+  EXPECT_EQ(reader.next(frame), FrameReader::Status::kEnd);
+}
+
+/// One '\n'-terminated line from a stream socket ("" on EOF).
+std::string read_line(int fd) {
+  std::string line;
+  char c = 0;
+  while (::read(fd, &c, 1) == 1 && c != '\n') line.push_back(c);
+  return line;
+}
+
+TEST(ServiceFrames, SocketConnectionSurvivesAnOversizedFrame) {
+  // Before the cap, one client streaming bytes without a newline grew the
+  // connection's buffer without bound. Now it gets a typed error and the
+  // same connection keeps working.
+  SessionManager manager;
+  ServerOptions options;
+  options.socket_path = ::testing::TempDir() + "adml_frames_" +
+                        std::to_string(::getpid()) + ".sock";
+  SocketServer server(manager, options);
+  std::thread serving([&server] { server.serve(); });
+  // Joins the accept loop on every exit path, failed assertions included.
+  struct StopAndJoin {
+    SocketServer& server;
+    std::thread& thread;
+    ~StopAndJoin() {
+      server.stop();
+      thread.join();
+    }
+  } stop_and_join{server, serving};
+
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, options.socket_path.c_str(),
+              options.socket_path.size() + 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  const std::string request = std::string(2 * kMaxFrameBytes, '[') + "\n" +
+                              R"({"op":"ping","id":1})" + "\n" +
+                              R"({"op":"shutdown"})" + "\n";
+  std::size_t off = 0;
+  while (off < request.size()) {
+    const ssize_t n = ::send(fd, request.data() + off, request.size() - off,
+                             MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    off += static_cast<std::size_t>(n);
+  }
+  const JsonValue too_large = util::parse_json(read_line(fd));
+  EXPECT_FALSE(too_large.at("ok").as_bool());
+  EXPECT_EQ(too_large.at("error").as_string(), errc::kFrameTooLarge);
+  const JsonValue pong = util::parse_json(read_line(fd));
+  EXPECT_TRUE(pong.at("ok").as_bool());
+  EXPECT_EQ(pong.at("id").as_number(), 1.0);
+  EXPECT_TRUE(util::parse_json(read_line(fd)).at("ok").as_bool());
+  ::close(fd);
 }
 
 }  // namespace
