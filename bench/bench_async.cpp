@@ -79,7 +79,7 @@ QResult run_q(int q, int evals, double eval_ms, std::uint64_t seed) {
   options.max_evaluations = evals;
   options.initial_design_size = std::min(6, evals / 2);
   options.surrogate.gp.restarts = 1;
-  options.surrogate.gp.adam_iterations = 60;
+  options.surrogate.gp.max_iterations = 30;
   options.acq_optimizer.random_candidates = 256;
   options.async_q = q;
   core::BoTuner tuner(objective, options);

@@ -35,7 +35,6 @@ inline core::BoOptions bench_bo_options(std::uint64_t seed,
   options.max_evaluations = max_evaluations;
   options.initial_design_size = 8;
   options.surrogate.gp.restarts = 1;
-  options.surrogate.gp.adam_iterations = 80;
   options.surrogate.hyperopt_every = 2;
   options.acq_optimizer.random_candidates = 384;
   return options;

@@ -18,11 +18,14 @@
 //   (f) one negative-LML evaluation, value + gradient, at a fresh theta
 //       (n <= 1024, the exact path's range), and for n <= 256 whether
 //       -negative_lml(fitted theta) reproduces log_marginal_likelihood()
-//       bit for bit after a short hyperparameter fit.
+//       bit for bit after a short hyperparameter fit;
+//   (g) one full default GaussianProcess::fit (three L-BFGS starts) at
+//       n = 16, 64 and 256: wall time and negative-LML evaluations.
 // Results land in BENCH_inner_loop.json to extend the repo's performance
 // trajectory; CI runs `--smoke` and uploads the file as an artifact.
 // Non-zero exit when the parallel proposal diverges, the fitted LML
-// disagrees with the LML pass, or the RFF accuracy gate fails.
+// disagrees with the LML pass, a default fit spends more than
+// kMaxHyperoptEvals LML evaluations, or the RFF accuracy gate fails.
 //
 // Usage: bench_inner_loop [--smoke] [--out=BENCH_inner_loop.json]
 //                         [--reps=N] [--threads=K] [--rff-features=M]
@@ -43,6 +46,7 @@
 #include "gp/kernel.h"
 #include "gp/rff.h"
 #include "math/cholesky.h"
+#include "obs/metrics.h"
 #include "util/arg_parse.h"
 #include "util/csv.h"
 #include "util/fs.h"
@@ -71,6 +75,12 @@ constexpr std::size_t kDim = 6;
 /// cap on unlucky probe draws.
 constexpr double kRffMeanErrGate = 0.55;
 constexpr double kRffSizeErrGate = 0.9;
+
+/// Ceiling on negative-LML evaluations for one default fit (three L-BFGS
+/// starts of at most GpOptions::max_iterations steps). This bench's fits
+/// take 145-175; the Adam + Nelder-Mead optimizer L-BFGS replaced took
+/// about 500, so a regression to that regime fails loudly.
+constexpr std::int64_t kMaxHyperoptEvals = 200;
 
 std::string param_name(std::size_t d) {
   std::string name = "p";
@@ -158,6 +168,10 @@ struct SizeResult {
   double lml_ms = 0.0;
   bool lml_checked = false;
   bool lml_identical = true;
+  // One full default hyperparameter fit.
+  bool hyperopt_measured = false;
+  double hyperopt_ms = 0.0;
+  std::int64_t hyperopt_evals = 0;
 };
 
 /// Mean wall time of one negative_lml call (value + gradient) on n points,
@@ -187,8 +201,7 @@ double measure_lml_ms(const math::Matrix& x, std::span<const double> y,
 bool fitted_lml_identical(const math::Matrix& x, std::span<const double> y) {
   gp::GpOptions gp_options;
   gp_options.restarts = 0;
-  gp_options.adam_iterations = 15;
-  gp_options.polish_iterations = 0;
+  gp_options.max_iterations = 7;
   gp::GaussianProcess model(std::make_unique<gp::Matern52Ard>(kDim),
                             gp_options);
   util::Rng rng(5);
@@ -197,6 +210,23 @@ bool fitted_lml_identical(const math::Matrix& x, std::span<const double> y) {
       -model.negative_lml(model.fitted_hyperparams()).value;
   const double lml = model.log_marginal_likelihood();
   return std::memcmp(&from_pass, &lml, sizeof(double)) == 0;
+}
+
+/// One full fit() with the default GpOptions: wall time, and the
+/// negative-LML evaluations it spent (the gp.lml_evals counter).
+void measure_hyperopt(const math::Matrix& x, std::span<const double> y,
+                      SizeResult& out) {
+  gp::GaussianProcess model(std::make_unique<gp::Matern52Ard>(kDim));
+  util::Rng rng(7);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
+  registry.reset();
+  registry.enable();
+  util::Stopwatch watch;
+  model.fit(x, y, rng);
+  out.hyperopt_ms = watch.elapsed_ms();
+  registry.disable();
+  out.hyperopt_measured = true;
+  out.hyperopt_evals = registry.counter("gp.lml_evals").value();
 }
 
 SizeResult measure(std::size_t n, int reps, int candidates, int rff_features,
@@ -370,6 +400,7 @@ SizeResult measure(std::size_t n, int reps, int candidates, int rff_features,
     out.lml_checked = true;
     out.lml_identical = fitted_lml_identical(x, y);
   }
+  if (n == 16 || n == 64 || n == 256) measure_hyperopt(x, y, out);
 
   // ---- acquisition proposal: serial vs pooled, identical winner ----
   if (n <= 1024) {
@@ -412,8 +443,7 @@ double measure_policy_ms(const conf::ConfigSpace& space,
   options.backend = core::SurrogateBackend::kExact;
   options.gp.optimize_hyperparams = true;
   options.gp.restarts = 0;
-  options.gp.adam_iterations = 30;
-  options.gp.polish_iterations = 0;
+  options.gp.max_iterations = 15;
   if (scheduled) {
     options.hyperopt_every = 8;
     options.refit_nlml_degradation = 0.25;
@@ -452,6 +482,7 @@ int main(int argc, char** argv) {
   util::ThreadPool pool(threads);
   bool all_identical = true;
   bool lml_identical = true;
+  std::int64_t max_hyperopt_evals = 0;
   bool accuracy_ok = true;
   double err_sum = 0.0;
   util::JsonArray rows;
@@ -460,6 +491,7 @@ int main(int argc, char** argv) {
     const SizeResult r = measure(n, reps, candidates, rff_features, pool);
     all_identical = all_identical && r.propose_identical;
     lml_identical = lml_identical && r.lml_identical;
+    max_hyperopt_evals = std::max(max_hyperopt_evals, r.hyperopt_evals);
     err_sum += r.rff_mean_err_std;
     if (r.rff_mean_err_std > kRffSizeErrGate) accuracy_ok = false;
     const double surrogate_speedup =
@@ -493,6 +525,10 @@ int main(int argc, char** argv) {
     row["rff_mean_err_std"] = r.rff_mean_err_std;
     if (r.lml_measured) row["lml_ms"] = r.lml_ms;
     if (r.lml_checked) row["lml_identical"] = r.lml_identical;
+    if (r.hyperopt_measured) {
+      row["hyperopt_ms"] = r.hyperopt_ms;
+      row["hyperopt_evals"] = static_cast<double>(r.hyperopt_evals);
+    }
     if (r.propose_measured) {
       row["propose_serial_ms"] = r.propose_serial_ms;
       row["propose_parallel_ms"] = r.propose_parallel_ms;
@@ -511,6 +547,9 @@ int main(int argc, char** argv) {
                      util::fmt(r.rff_mean_err_std, 3),
                      r.lml_measured ? util::fmt(r.lml_ms, 3) : "-",
                      r.lml_checked ? (r.lml_identical ? "yes" : "NO") : "-",
+                     r.hyperopt_measured ? util::fmt(r.hyperopt_ms, 3) : "-",
+                     r.hyperopt_measured ? std::to_string(r.hyperopt_evals)
+                                         : "-",
                      r.propose_measured
                          ? (r.propose_identical ? "yes" : "NO")
                          : "-"});
@@ -532,7 +571,7 @@ int main(int argc, char** argv) {
       "n",        "gp_full_ms", "gp_incr_ms", "gp_x",
       "chol_scalar_ms", "chol_blocked_ms", "chol_x",
       "rff_incr_ms", "rff_x", "rff_err_std", "lml_ms", "lml_identical",
-      "identical"};
+      "hyperopt_ms", "hyperopt_evals", "identical"};
   std::cout << "\n=== R-P11: BO inner-loop latency (reps=" << reps
             << ", threads=" << threads << ", candidates=" << candidates
             << ", rff_features=" << rff_features << ") ===\n"
@@ -566,6 +605,12 @@ int main(int argc, char** argv) {
   if (!lml_identical) {
     std::cerr << "FAIL: -negative_lml(fitted theta) differs from "
                  "log_marginal_likelihood()\n";
+    return 1;
+  }
+  if (max_hyperopt_evals > kMaxHyperoptEvals) {
+    std::cerr << "FAIL: a default hyperparameter fit spent "
+              << max_hyperopt_evals << " LML evaluations (bound "
+              << kMaxHyperoptEvals << ")\n";
     return 1;
   }
   const double err_mean = err_sum / static_cast<double>(sizes.size());

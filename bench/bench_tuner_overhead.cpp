@@ -59,7 +59,6 @@ int main(int argc, char** argv) {
   // Surrogate update: a fresh model fit from scratch on the history.
   core::SurrogateOptions update_options;
   update_options.gp.restarts = 1;
-  update_options.gp.adam_iterations = 80;
   for (const int n : {10, 20, 40, 80}) {
     const std::vector<core::Trial> history = make_history(evaluator, n);
     bool ready = false;

@@ -62,14 +62,20 @@
 //                                  Unix-domain stream socket. Exits when a
 //                                  client sends {"op":"shutdown"}.
 //
-// Exit code 0 on success, 1 on user error, 2 on "no feasible config found".
+// Each subcommand rejects a flag it does not declare (known_flags() below)
+// with "unknown flag --NAME (did you mean --FLAG?)" on stderr and exit 2.
+// Exit code 0 on success, 1 on user error, 2 on an unknown flag or "no
+// feasible config found".
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <exception>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "analysis/space_lint.h"
 #include "core/bo_tuner.h"
@@ -528,11 +534,42 @@ int cmd_serve(const util::ArgParser& args) {
   return 0;
 }
 
+/// The flags each subcommand accepts. Any other flag is rejected before
+/// the command runs: a typo such as --asyncq must not silently fall back
+/// to a default.
+const std::map<std::string_view, std::vector<std::string_view>>& known_flags() {
+  static const std::map<std::string_view, std::vector<std::string_view>>
+      kFlags = {
+          {"workloads", {}},
+          {"lint", {"workload", "all", "demo"}},
+          {"space", {"workload", "demo"}},
+          {"evaluate", {"workload", "demo", "seed", "config"}},
+          {"tune",
+           {"workload", "demo", "evals", "seed", "objective",
+            "deadline-hours", "acquisition", "no-early-term", "session",
+            "resume", "journal", "faults", "retries", "trace", "metrics",
+            "refit-every", "surrogate-backend", "rff-features",
+            "max-wall-time", "async-q", "async-workers", "crash-point",
+            "crash-after"}},
+          {"importance", {"workload", "demo", "evals", "seed"}},
+          {"serve",
+           {"stdio", "socket", "workers", "conn-threads", "max-sessions",
+            "max-pending"}},
+      };
+  return kFlags;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
   const std::string command = argc > 1 && argv[1][0] != '-' ? argv[1] : "";
+  if (const auto it = known_flags().find(command); it != known_flags().end()) {
+    if (const auto error = args.unknown_flag(it->second)) {
+      std::fprintf(stderr, "%s\n", error->c_str());
+      return 2;
+    }
+  }
   try {
     if (command == "workloads") {
       cmd_workloads();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -157,6 +158,12 @@ namespace {
 constexpr double kSpentHoursBuckets[] = {0.5, 1.0, 2.0, 4.0, 8.0,
                                          16.0, 32.0, 64.0, 128.0};
 
+/// Standardized residual z = (log y - mu) / sigma of a trial against the
+/// objective posterior it was proposed under; a calibrated surrogate puts
+/// about 5% of its mass beyond |z| = 2.
+constexpr double kResidualZBuckets[] = {-4.0, -3.0, -2.0, -1.0, -0.5, 0.0,
+                                        0.5,  1.0,  2.0,  3.0,  4.0};
+
 /// Draws a fallback proposal may take before the space counts as
 /// exhausted. A continuous parameter makes the first draw unique.
 constexpr int kFallbackDraws = 64;
@@ -195,6 +202,11 @@ Trial BoTuner::consume_replay(const conf::Config& config) {
 struct BoTuner::Proposal {
   SessionAsk ask;
   Trial fantasy;
+  /// Objective posterior (log objective) at the proposal, when a model was
+  /// ready at ask time; feeds the surrogate.residual_z calibration
+  /// histogram at ingest. NaN otherwise.
+  double posterior_mean = std::numeric_limits<double>::quiet_NaN();
+  double posterior_sd = std::numeric_limits<double>::quiet_NaN();
 };
 
 /// Session bookkeeping shared by every driver. `pending` holds outstanding
@@ -310,6 +322,11 @@ std::optional<BoTuner::SessionAsk> BoTuner::ask() {
       return std::nullopt;
     }
     p.ask.config = std::move(*candidate);
+    if (model->ready()) {
+      const SurrogateScore prior = model->score(p.ask.config);
+      p.posterior_mean = prior.mean;
+      p.posterior_sd = std::sqrt(prior.variance);
+    }
   }
   if (!s.inline_depth_one) p.fantasy = make_fantasy_trial(*model, p.ask.config);
   ++s.next_index;
@@ -341,6 +358,13 @@ void BoTuner::ingest_front() {
     ADML_HISTOGRAM("tuner.trial_spent_hours", kSpentHoursBuckets,
                    trial.outcome.spent_seconds / 3600.0);
     if (trial.outcome.aborted) ADML_COUNT("tuner.early_terminated", 1);
+    if (trial.succeeded() && front.posterior_sd > 0.0) {
+      // Same log transform as the objective model's training targets.
+      ADML_HISTOGRAM("surrogate.residual_z", kResidualZBuckets,
+                     (std::log(std::max(trial.outcome.objective, 1e-9)) -
+                      front.posterior_mean) /
+                         front.posterior_sd);
+    }
     if (journal_) {
       ADML_SPAN("tuner.journal_append");
       journal_->append(trial);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -286,58 +287,37 @@ void GaussianProcess::fit(const math::Matrix& x, std::span<const double> y,
   lo.push_back(std::log(options_.noise_lo));
   hi.push_back(std::log(options_.noise_hi));
 
-  // Adam projects its iterates onto [lo, hi] (AdamOptions bounds below), so
-  // the gradient is always evaluated at the point the step actually reached.
-  const auto objective_grad = [&](std::span<const double> theta,
-                                  std::span<double> grad) {
+  const auto objective = [&](std::span<const double> theta,
+                             std::span<double> grad) {
     const LmlResult r = negative_lml(theta);
     std::copy(r.grad.begin(), r.grad.end(), grad.begin());
     return r.value;
   };
-  // Nelder-Mead has no projection support; clamp inside the objective.
-  const auto objective = [&](std::span<const double> theta) {
-    math::Vec projected(theta.begin(), theta.end());
-    clamp_to_bounds(projected, lo, hi);
-    return negative_lml(projected).value;
-  };
 
-  math::AdamOptions adam_opts;
-  adam_opts.max_iterations = options_.adam_iterations;
-  adam_opts.lower_bounds = lo;
-  adam_opts.upper_bounds = hi;
-
-  math::Vec best_theta = packed_hypers();
+  // Warm start from theta exactly as the last hyperopt applied it (not the
+  // log(exp(theta)) round trip through the kernel), then `restarts`
+  // uniform draws from the box. The first start's projection is kept when
+  // every run ends non-finite.
+  math::Vec best_theta = fitted_theta_.empty() ? packed_hypers()
+                                               : fitted_theta_;
   clamp_to_bounds(best_theta, lo, hi);
-  double best_value = objective(best_theta);
-
+  double best_value = std::numeric_limits<double>::infinity();
   for (int restart = 0; restart <= options_.restarts; ++restart) {
     math::Vec start;
     if (restart == 0) {
-      start = best_theta;  // warm start from current hyperparameters
+      start = best_theta;
     } else {
       start.resize(lo.size());
       for (std::size_t i = 0; i < lo.size(); ++i) {
         start[i] = rng.uniform(lo[i], hi[i]);
       }
     }
-    const auto result = math::adam(objective_grad, start, adam_opts);
-    math::Vec candidate = result.x;
-    clamp_to_bounds(candidate, lo, hi);
-    const double value = objective(candidate);
-    if (value < best_value) {
-      best_value = value;
-      best_theta = candidate;
+    const auto result =
+        math::lbfgs_box(objective, start, lo, hi, options_.max_iterations);
+    if (result.value < best_value) {
+      best_value = result.value;
+      best_theta = result.x;
     }
-  }
-
-  if (options_.polish_iterations > 0) {
-    math::NelderMeadOptions nm;
-    nm.max_iterations = options_.polish_iterations;
-    nm.initial_step = 0.2;
-    const auto polished = math::nelder_mead(objective, best_theta, nm);
-    math::Vec candidate = polished.x;
-    clamp_to_bounds(candidate, lo, hi);
-    if (polished.value < best_value) best_theta = candidate;
   }
 
   apply_packed(best_theta);

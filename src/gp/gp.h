@@ -2,11 +2,12 @@
 //
 // The tuner's surrogate. Targets are standardized internally; the noise
 // variance is a hyperparameter fitted jointly with the kernel's by maximizing
-// the log marginal likelihood (analytic gradients + multi-start Adam, with a
-// Nelder-Mead polish). History sizes in configuration tuning are usually
-// small (tens to a few hundred points), where exact O(n^3) inference is the
-// right trade-off; past the SurrogateModel threshold the stack switches to
-// the random-Fourier-feature approximation in rff.h.
+// the log marginal likelihood (analytic gradients + multi-start
+// box-constrained L-BFGS, warm-started from the previous fit). History
+// sizes in configuration tuning are usually small (tens to a few hundred
+// points), where exact O(n^3) inference is the right trade-off; past the
+// SurrogateModel threshold the stack switches to the random-Fourier-feature
+// approximation in rff.h.
 #pragma once
 
 #include <memory>
@@ -25,10 +26,14 @@ struct GpOptions {
   bool standardize_targets = true;
   bool optimize_hyperparams = true;
   int restarts = 2;             // additional random restarts beyond current
-  int adam_iterations = 120;
-  int polish_iterations = 80;   // Nelder-Mead after the best Adam run
-  double noise_lo = 1e-8;       // bounds for the noise-variance hyperparameter
-  double noise_hi = 1.0;        //   (in standardized target units)
+  int max_iterations = 40;      // L-BFGS iterations per start
+  /// Bounds for the noise-variance hyperparameter (standardized target
+  /// units). The floor keeps hyperopt out of interpolating optima: with
+  /// the noise near zero and lengthscales at their lower bound, a model can
+  /// explain any labels as isolated spikes, which a converged optimizer
+  /// finds and prefers.
+  double noise_lo = 1e-6;
+  double noise_hi = 1.0;
   double initial_noise = 1e-2;
 };
 
@@ -81,8 +86,8 @@ class GaussianProcess final : public Regressor {
   /// Negative LML and analytic gradient at the given packed
   /// log-hyperparameters [kernel..., log noise], on the current training
   /// data. Public as a diagnostic/testing surface (gradient checks); the
-  /// result is memoized per (theta, data) so the hyperopt loop's repeated
-  /// evaluations at boundary-projected iterates are free.
+  /// result is memoized per (theta, data), so evaluating the same theta
+  /// twice in a row is free.
   ///
   /// One fused kernel pass per training pair (Kernel::eval_pair, then
   /// Kernel::add_scaled_grad in the gradient pass): no kernel clone and no
@@ -127,9 +132,9 @@ class GaussianProcess final : public Regressor {
     std::uint64_t data_version = 0;
     LmlResult result;
   };
-  /// Last negative_lml evaluation. The hyperopt loop evaluates the same
-  /// theta repeatedly (value+grad pairs, boundary-projected iterates, the
-  /// post-Adam re-evaluation), all sharing the same X — one memo slot
+  /// Last negative_lml evaluation, keyed by (theta, data). A warm start
+  /// that is already a stationary point, or a caller re-evaluating the
+  /// fitted theta, repeats the previous theta on the same X — one memo slot
   /// eliminates the duplicated Gram build + factorization.
   mutable std::optional<LmlCache> lml_cache_;
 };

@@ -48,9 +48,9 @@ struct RffOptions {
   /// Hyperparameters are optimized by an exact GP on an evenly-strided
   /// subset of at most this many points (0 disables hyperopt entirely).
   int hyperopt_subset = 160;
-  /// Underlying hyperopt machinery configuration (restarts, Adam budget,
-  /// noise bounds). `optimize_hyperparams=false` also disables the subset
-  /// fit.
+  /// Underlying hyperopt machinery configuration (restarts, L-BFGS
+  /// iterations per start, noise bounds). `optimize_hyperparams=false`
+  /// also disables the subset fit.
   GpOptions gp;
 };
 

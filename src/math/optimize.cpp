@@ -116,71 +116,137 @@ OptResult nelder_mead(const Objective& f, std::span<const double> x0,
   return result;
 }
 
-OptResult adam(const GradObjective& f, std::span<const double> x0,
-               const AdamOptions& options) {
+namespace {
+
+// lbfgs_box constants: curvature pairs kept, the two convergence
+// tolerances, the Armijo sufficient-decrease fraction and the backtracking
+// budget per iteration.
+constexpr std::size_t kLbfgsMemory = 6;
+constexpr double kProjectedGradTolerance = 1e-5;
+constexpr double kRelativeDecreaseTolerance = 1e-8;
+constexpr double kArmijo = 1e-4;
+constexpr int kMaxBacktracks = 20;
+
+}  // namespace
+
+OptResult lbfgs_box(const GradObjective& f, std::span<const double> x0,
+                    std::span<const double> lower,
+                    std::span<const double> upper, int max_iterations) {
   const std::size_t n = x0.size();
-  const bool bounded =
-      !options.lower_bounds.empty() || !options.upper_bounds.empty();
-  if (bounded && (options.lower_bounds.size() != n ||
-                  options.upper_bounds.size() != n)) {
-    throw std::invalid_argument("adam: bounds/start size mismatch");
+  if (lower.size() != n || upper.size() != n) {
+    throw std::invalid_argument("lbfgs_box: bounds/start size mismatch");
   }
-  const auto project = [&](Vec& p) {
-    if (!bounded) return;
-    for (std::size_t i = 0; i < n; ++i) {
-      p[i] = std::clamp(p[i], options.lower_bounds[i], options.upper_bounds[i]);
-    }
+  const auto project = [&](double v, std::size_t i) {
+    return std::clamp(v, lower[i], upper[i]);
   };
 
-  Vec x(x0.begin(), x0.end());
-  project(x);
-  Vec m(n, 0.0), v(n, 0.0), grad(n, 0.0);
   OptResult result;
-  result.x = x;
-  result.value = f(x, grad);
+  Vec x(n), g(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) x[i] = project(x0[i], i);
+  double fx = f(x, g);
+  if (!std::isfinite(fx)) {
+    result.x = std::move(x);
+    result.value = std::numeric_limits<double>::infinity();
+    return result;
+  }
 
-  Vec best_x = x;
-  double best_f = std::isfinite(result.value)
-                      ? result.value
-                      : std::numeric_limits<double>::infinity();
-  // Whether the evaluation that produced `grad` returned a finite value; a
-  // non-finite objective makes its gradient meaningless, and feeding it into
-  // the moment estimates would poison m/v with NaN for every later step.
-  bool grad_valid = std::isfinite(result.value);
-
+  // Curvature pairs, oldest first.
+  std::vector<Vec> s_hist, y_hist;
+  std::vector<double> rho_hist;
+  std::vector<char> free(n);
+  Vec d(n), x_new(n), g_new(n), alpha(kLbfgsMemory);
   int iter = 0;
-  for (; iter < options.max_iterations; ++iter) {
-    if (grad_valid) {
-      double grad_inf = 0.0;
-      for (double g : grad) grad_inf = std::max(grad_inf, std::abs(g));
-      if (grad_inf < options.grad_tolerance) {
-        result.converged = true;
-        break;
-      }
-    }
-    const double t = static_cast<double>(iter + 1);
+  for (; iter < max_iterations; ++iter) {
+    // Projected gradient; a coordinate at a bound whose descent direction
+    // leaves the box is pinned for this iteration.
+    double pg_inf = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      // On an invalid evaluation the gradient contribution is zero: the
-      // moments decay and the iterate coasts on momentum out of the bad
-      // region instead of freezing or going NaN.
-      const double g = grad_valid ? grad[i] : 0.0;
-      m[i] = options.beta1 * m[i] + (1.0 - options.beta1) * g;
-      v[i] = options.beta2 * v[i] + (1.0 - options.beta2) * g * g;
-      const double m_hat = m[i] / (1.0 - std::pow(options.beta1, t));
-      const double v_hat = v[i] / (1.0 - std::pow(options.beta2, t));
-      x[i] -= options.learning_rate * m_hat /
-              (std::sqrt(v_hat) + options.epsilon);
+      pg_inf = std::max(pg_inf, std::abs(project(x[i] - g[i], i) - x[i]));
+      free[i] = !((x[i] <= lower[i] && g[i] > 0.0) ||
+                  (x[i] >= upper[i] && g[i] < 0.0));
     }
-    project(x);
-    const double fx = f(x, grad);
-    grad_valid = std::isfinite(fx);
-    if (grad_valid && fx < best_f) {
-      best_f = fx;
-      best_x = x;
+    if (pg_inf < kProjectedGradTolerance) {
+      result.converged = true;
+      break;
+    }
+
+    // Two-loop recursion on the free coordinates: d = -H g.
+    for (std::size_t i = 0; i < n; ++i) d[i] = free[i] ? g[i] : 0.0;
+    const std::size_t m = s_hist.size();
+    for (std::size_t k = m; k-- > 0;) {
+      alpha[k] = rho_hist[k] * dot(s_hist[k], d);
+      for (std::size_t i = 0; i < n; ++i)
+        if (free[i]) d[i] -= alpha[k] * y_hist[k][i];
+    }
+    double gamma;
+    if (m > 0) {
+      gamma = dot(s_hist[m - 1], y_hist[m - 1]) /
+              dot(y_hist[m - 1], y_hist[m - 1]);
+    } else {
+      // First step (or after a reset): a unit-length steepest-descent step.
+      gamma = 1.0 / std::max(1.0, norm2(d));
+    }
+    for (double& v : d) v *= gamma;
+    for (std::size_t k = 0; k < m; ++k) {
+      const double beta = rho_hist[k] * dot(y_hist[k], d);
+      for (std::size_t i = 0; i < n; ++i)
+        if (free[i]) d[i] += (alpha[k] - beta) * s_hist[k][i];
+    }
+    for (double& v : d) v = -v;
+
+    // Backtracking along the projected path x(t) = P(x + t d).
+    double f_new = 0.0;
+    bool accepted = false;
+    double t = 1.0;
+    for (int bt = 0; bt < kMaxBacktracks && !accepted; ++bt, t *= 0.5) {
+      double predicted = 0.0;  // g . (x(t) - x), the first-order decrease
+      for (std::size_t i = 0; i < n; ++i) {
+        x_new[i] = project(x[i] + t * d[i], i);
+        predicted += g[i] * (x_new[i] - x[i]);
+      }
+      if (!(predicted < 0.0)) break;  // not a descent direction
+      f_new = f(x_new, g_new);
+      accepted = std::isfinite(f_new) && f_new <= fx + kArmijo * predicted;
+    }
+    if (!accepted) {
+      // The quasi-Newton model misled the search: restart from steepest
+      // descent, and stop when even that finds no decrease.
+      if (s_hist.empty()) break;
+      s_hist.clear();
+      y_hist.clear();
+      rho_hist.clear();
+      continue;
+    }
+
+    Vec s_k(n), y_k(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      s_k[i] = x_new[i] - x[i];
+      y_k[i] = g_new[i] - g[i];
+    }
+    const double sy = dot(s_k, y_k);
+    if (sy > 1e-12 * dot(y_k, y_k)) {  // keep H positive definite
+      if (s_hist.size() == kLbfgsMemory) {
+        s_hist.erase(s_hist.begin());
+        y_hist.erase(y_hist.begin());
+        rho_hist.erase(rho_hist.begin());
+      }
+      s_hist.push_back(std::move(s_k));
+      y_hist.push_back(std::move(y_k));
+      rho_hist.push_back(1.0 / sy);
+    }
+    const double decrease =
+        (fx - f_new) / std::max({std::abs(fx), std::abs(f_new), 1.0});
+    x.swap(x_new);
+    g.swap(g_new);
+    fx = f_new;
+    if (decrease < kRelativeDecreaseTolerance) {
+      ++iter;
+      result.converged = true;
+      break;
     }
   }
-  result.x = std::move(best_x);
-  result.value = best_f;
+  result.x = std::move(x);
+  result.value = fx;
   result.iterations = iter;
   return result;
 }

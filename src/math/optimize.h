@@ -1,9 +1,9 @@
 // Generic numeric optimizers.
 //
 // Three consumers: GP hyperparameter fitting maximizes the log-marginal
-// likelihood (Adam on analytic gradients, restarted, then polished with
-// Nelder-Mead); learning-curve extrapolation fits power laws (Nelder-Mead);
-// acquisition optimization uses its own mixed-space search in src/core.
+// likelihood (box-constrained L-BFGS on analytic gradients, restarted);
+// learning-curve extrapolation fits power laws (Nelder-Mead); acquisition
+// optimization uses its own mixed-space search in src/core.
 #pragma once
 
 #include <functional>
@@ -38,28 +38,23 @@ struct NelderMeadOptions {
 OptResult nelder_mead(const Objective& f, std::span<const double> x0,
                       const NelderMeadOptions& options = {});
 
-struct AdamOptions {
-  int max_iterations = 200;
-  double learning_rate = 0.05;
-  double beta1 = 0.9;
-  double beta2 = 0.999;
-  double epsilon = 1e-8;
-  double grad_tolerance = 1e-6;  // stop when ||grad||_inf below this
-  /// Optional box constraints. When non-empty (each sized like x0), the
-  /// start point and every Adam iterate are projected onto
-  /// [lower_bounds, upper_bounds], so the objective and its gradient are
-  /// only ever evaluated at feasible points — an unprojected iterate
-  /// drifting out of bounds would keep receiving the stale boundary
-  /// gradient while its distance from the feasible box grows.
-  Vec lower_bounds;
-  Vec upper_bounds;
-};
-
-/// Minimize f starting from x0 (projected Adam on the provided analytic
-/// gradient). Non-finite objective evaluations contribute a zero gradient
-/// to the moment estimates (momentum decays but is never NaN-poisoned).
-OptResult adam(const GradObjective& f, std::span<const double> x0,
-               const AdamOptions& options = {});
+/// Minimize f over the box [lower, upper] from x0 (projected L-BFGS on the
+/// provided analytic gradient). The start point is projected onto the box
+/// and the objective is only ever evaluated at feasible points. Each
+/// iteration builds a quasi-Newton direction from a small fixed memory of
+/// curvature pairs over the variables not pinned at a bound, then
+/// backtracks along the projected path until the Armijo condition holds; a
+/// trial point with a non-finite value is treated as too long a step.
+/// Stops when the inf-norm of the projected gradient or the relative
+/// decrease of f falls below a fixed tolerance (converged = true), when
+/// neither the quasi-Newton nor the steepest-descent direction yields a
+/// decrease, or after `max_iterations` iterations. The iterates decrease f monotonically, so the result is
+/// the best point seen; a non-finite value at the projected start returns
+/// that point with value +inf. Throws std::invalid_argument when the
+/// bounds are not sized like x0.
+OptResult lbfgs_box(const GradObjective& f, std::span<const double> x0,
+                    std::span<const double> lower,
+                    std::span<const double> upper, int max_iterations);
 
 /// Minimize a unimodal 1-D function on [lo, hi] by golden-section search.
 OptResult golden_section(const std::function<double(double)>& f, double lo,

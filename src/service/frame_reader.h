@@ -46,9 +46,9 @@ class SessionManager;
 
 /// The transport loop both daemon front ends run: answers every frame read
 /// from `fd` through `manager` (an oversized one with
-/// SessionManager::reject_oversized_frame()) and passes each response line, newline included,
-/// to `write`. Returns at end of input, when `write` returns false, or once
-/// a shutdown has been requested.
+/// SessionManager::reject_oversized_frame()) and passes each response
+/// line, newline included, to `write`. Returns at end of input, when
+/// `write` returns false, or once a shutdown has been requested.
 void serve_stream(int fd, SessionManager& manager,
                   const std::function<bool(const std::string&)>& write);
 

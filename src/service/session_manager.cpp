@@ -109,8 +109,8 @@ SessionConfig parse_session_config(const Request& request,
       bo.early_term.enabled = v.as_bool();
     } else if (key == "gp_restarts") {
       bo.surrogate.gp.restarts = positive_int_option(options, key);
-    } else if (key == "gp_adam_iterations") {
-      bo.surrogate.gp.adam_iterations = positive_int_option(options, key);
+    } else if (key == "gp_max_iterations") {
+      bo.surrogate.gp.max_iterations = positive_int_option(options, key);
     } else if (key == "acq_random_candidates") {
       bo.acq_optimizer.random_candidates = positive_int_option(options, key);
     } else if (key == "refit_every") {

@@ -3,8 +3,11 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace autodml::util {
 
@@ -18,8 +21,16 @@ class ArgParser {
   double get_double(std::string_view name, double def) const;
   bool get_bool(std::string_view name, bool def) const;
 
+  /// The first flag on the command line that is not in `known`, as the
+  /// message "unknown flag --NAME", with " (did you mean --KNOWN?)" when a
+  /// known flag is within a small edit distance; nullopt when every flag
+  /// is known.
+  std::optional<std::string> unknown_flag(
+      std::span<const std::string_view> known) const;
+
  private:
   std::map<std::string, std::string, std::less<>> args_;
+  std::vector<std::string> order_;  // flag names in command-line order
 };
 
 }  // namespace autodml::util

@@ -135,7 +135,7 @@ TEST(Determinism, SupervisedTunerUnderFaultsReproduces) {
     options.max_evaluations = 8;
     options.initial_design_size = 4;
     options.surrogate.gp.restarts = 1;
-    options.surrogate.gp.adam_iterations = 60;
+    options.surrogate.gp.max_iterations = 30;
     options.acq_optimizer.random_candidates = 256;
     core::BoTuner tuner(objective, options);
     const core::TuningResult result = tuner.tune();
@@ -186,7 +186,7 @@ TEST(Determinism, ObservabilityDoesNotPerturbResults) {
     options.max_evaluations = 10;
     options.initial_design_size = 5;
     options.surrogate.gp.restarts = 1;
-    options.surrogate.gp.adam_iterations = 60;
+    options.surrogate.gp.max_iterations = 30;
     options.acq_optimizer.random_candidates = 256;
     options.journal_path = journal_path;
     core::BoTuner tuner(objective, options);

@@ -19,7 +19,7 @@ core::BoOptions small_bo(std::uint64_t seed, int evals) {
   options.max_evaluations = evals;
   options.initial_design_size = 6;
   options.surrogate.gp.restarts = 1;
-  options.surrogate.gp.adam_iterations = 60;
+  options.surrogate.gp.max_iterations = 30;
   options.acq_optimizer.random_candidates = 200;
   return options;
 }

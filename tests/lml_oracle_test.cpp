@@ -230,8 +230,7 @@ TYPED_TEST(LmlOracleTest, FittedThetaReproducesLogMarginalLikelihood) {
     const Data d = make_data(n, 300 + n, /*duplicates=*/false);
     gp::GpOptions options;
     options.restarts = 1;
-    options.adam_iterations = 20;
-    options.polish_iterations = 10;
+    options.max_iterations = 10;
     gp::GaussianProcess model(std::make_unique<TypeParam>(kDim), options);
     util::Rng rng(n);
     model.fit(d.x, d.y, rng);

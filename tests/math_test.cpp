@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include "math/cholesky.h"
 #include "math/matrix.h"
@@ -381,125 +383,134 @@ TEST(NelderMead, RespectsIterationBudget) {
   EXPECT_LT(calls, 40);  // a handful per iteration at most
 }
 
-// ---- Adam -------------------------------------------------------------------------
+// ---- box-constrained L-BFGS ----------------------------------------------------------
 
-TEST(Adam, MinimizesQuadraticWithGradient) {
-  const auto f = [](std::span<const double> x, std::span<double> g) {
-    g[0] = 2.0 * (x[0] - 4.0);
-    g[1] = 2.0 * (x[1] + 2.0);
-    return (x[0] - 4.0) * (x[0] - 4.0) + (x[1] + 2.0) * (x[1] + 2.0);
-  };
-  AdamOptions opts;
-  opts.max_iterations = 2000;
-  opts.learning_rate = 0.1;
-  const OptResult r = adam(f, Vec{0.0, 0.0}, opts);
-  EXPECT_NEAR(r.x[0], 4.0, 1e-2);
-  EXPECT_NEAR(r.x[1], -2.0, 1e-2);
+double rosenbrock(std::span<const double> x, std::span<double> g) {
+  const double a = 1.0 - x[0];
+  const double b = x[1] - x[0] * x[0];
+  g[0] = -2.0 * a - 400.0 * x[0] * b;
+  g[1] = 200.0 * b;
+  return a * a + 100.0 * b * b;
 }
 
-TEST(Adam, KeepsBestSeenPoint) {
-  // Pathological gradient that diverges after a good start; best-seen must
-  // be retained even if later iterates get worse.
-  int calls = 0;
-  const auto f = [&](std::span<const double> x, std::span<double> g) {
-    ++calls;
-    g[0] = calls < 3 ? 2.0 * x[0] : -100.0;  // then runs away
-    return calls < 3 ? x[0] * x[0] : 1e6;
-  };
-  AdamOptions opts;
-  opts.max_iterations = 20;
-  const OptResult r = adam(f, Vec{1.0}, opts);
-  EXPECT_LE(r.value, 1.0);
-}
-
-TEST(Adam, StopsOnSmallGradient) {
+TEST(LbfgsBox, MinimizesQuadratic) {
   const auto f = [](std::span<const double> x, std::span<double> g) {
-    g[0] = 0.0;
-    return x[0];
+    double v = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const double c = static_cast<double>(i + 1);  // condition number 4
+      g[i] = 2.0 * c * (x[i] - 0.5 * c);
+      v += c * (x[i] - 0.5 * c) * (x[i] - 0.5 * c);
+    }
+    return v;
   };
-  const OptResult r = adam(f, Vec{5.0});
+  const Vec lo(4, -10.0), hi(4, 10.0);
+  const OptResult r = lbfgs_box(f, Vec{0.0, 0.0, 0.0, 0.0}, lo, hi, 100);
   EXPECT_TRUE(r.converged);
-  EXPECT_EQ(r.iterations, 0);
+  EXPECT_LT(r.iterations, 20);  // quasi-Newton: a handful of steps
+  for (std::size_t i = 0; i < 4; ++i)
+    EXPECT_NEAR(r.x[i], 0.5 * static_cast<double>(i + 1), 1e-5);
+  EXPECT_LT(r.value, 1e-10);
 }
 
-TEST(Adam, ProjectsIterateOntoBounds) {
-  // Unconstrained minimum at x=4, box [0,2]: the projected iterate must
-  // converge to the boundary. Without projection the raw iterate would run
-  // past 2 and keep collecting the stale boundary gradient while the
-  // returned point stays clamped — the bug this option exists to fix.
-  int out_of_bounds_evals = 0;
+TEST(LbfgsBox, MinimizesRosenbrockInsideTheBox) {
+  const OptResult r = lbfgs_box(rosenbrock, Vec{-1.2, 1.0}, Vec{-2.0, -2.0},
+                                Vec{2.0, 2.0}, 200);
+  EXPECT_TRUE(r.converged);
+  EXPECT_NEAR(r.x[0], 1.0, 1e-3);
+  EXPECT_NEAR(r.x[1], 1.0, 1e-3);
+  EXPECT_LT(r.value, 1e-6);
+}
+
+TEST(LbfgsBox, FindsRosenbrockOptimumOnTheBoxBoundary) {
+  // x0 <= 0.5 cuts off (1, 1): the constrained minimum is (0.5, 0.25),
+  // where df/dx0 = -1 still points out of the box.
+  int out_of_box = 0;
   const auto f = [&](std::span<const double> x, std::span<double> g) {
-    if (x[0] < 0.0 || x[0] > 2.0) ++out_of_bounds_evals;
-    g[0] = 2.0 * (x[0] - 4.0);
-    return (x[0] - 4.0) * (x[0] - 4.0);
+    if (x[0] < -2.0 || x[0] > 0.5 || x[1] < -2.0 || x[1] > 2.0) ++out_of_box;
+    return rosenbrock(x, g);
   };
-  AdamOptions opts;
-  opts.max_iterations = 500;
-  opts.learning_rate = 0.1;
-  opts.lower_bounds = Vec{0.0};
-  opts.upper_bounds = Vec{2.0};
-  const OptResult r = adam(f, Vec{1.0}, opts);
-  EXPECT_NEAR(r.x[0], 2.0, 1e-3);
-  EXPECT_EQ(out_of_bounds_evals, 0);  // f only ever sees feasible points
+  const OptResult r =
+      lbfgs_box(f, Vec{-1.2, 1.0}, Vec{-2.0, -2.0}, Vec{0.5, 2.0}, 200);
+  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(r.x[0], 0.5);  // pinned exactly at the bound
+  EXPECT_NEAR(r.x[1], 0.25, 1e-5);
+  EXPECT_NEAR(r.value, 0.25, 1e-8);
+  EXPECT_EQ(out_of_box, 0);  // f only ever sees feasible points
 }
 
-TEST(Adam, ProjectsStartPointAndValidatesBoundSizes) {
-  const auto f = [](std::span<const double> x, std::span<double> g) {
+TEST(LbfgsBox, ProjectsStartPointAndValidatesBoundSizes) {
+  std::vector<double> seen;
+  const auto f = [&](std::span<const double> x, std::span<double> g) {
+    seen.push_back(x[0]);
     g[0] = 2.0 * x[0];
     return x[0] * x[0];
   };
-  AdamOptions opts;
-  opts.lower_bounds = Vec{-1.0};
-  opts.upper_bounds = Vec{1.0};
-  opts.max_iterations = 0;
-  const OptResult r = adam(f, Vec{50.0}, opts);  // start outside the box
-  EXPECT_DOUBLE_EQ(r.x[0], 1.0);
+  const OptResult start = lbfgs_box(f, Vec{50.0}, Vec{-1.0}, Vec{1.0}, 0);
+  EXPECT_EQ(start.x[0], 1.0);
+  EXPECT_EQ(start.value, 1.0);
+  EXPECT_EQ(start.iterations, 0);
+  EXPECT_EQ(seen, (std::vector<double>{1.0}));
 
-  AdamOptions bad;
-  bad.lower_bounds = Vec{0.0, 0.0};  // wrong size
-  bad.upper_bounds = Vec{1.0, 1.0};
-  EXPECT_THROW(adam(f, Vec{0.5}, bad), std::invalid_argument);
+  EXPECT_THROW(lbfgs_box(f, Vec{0.5}, Vec{0.0, 0.0}, Vec{1.0, 1.0}, 10),
+               std::invalid_argument);
+  EXPECT_THROW(lbfgs_box(f, Vec{0.5}, Vec{0.0}, Vec{}, 10),
+               std::invalid_argument);
 }
 
-TEST(Adam, NonFiniteEvaluationsDoNotPoisonMoments) {
-  // Every third evaluation blows up (NaN value, garbage gradient). The old
-  // implementation fed that gradient into the m/v moment estimates, turning
-  // them — and every subsequent step — into NaN. Fixed: non-finite evals
-  // contribute zero gradient, momentum decays, and the search still lands
-  // near the minimum.
-  int calls = 0;
+TEST(LbfgsBox, NonFiniteTrialPointBacktracks) {
+  // Minimum at x = 2, but the objective is NaN past x = 0.5: every trial
+  // step into that region must be shortened, never taken.
+  int nan_evals = 0;
   const auto f = [&](std::span<const double> x, std::span<double> g) {
-    ++calls;
-    if (calls % 3 == 0) {
+    if (x[0] > 0.5) {
+      ++nan_evals;
       g[0] = std::numeric_limits<double>::quiet_NaN();
       return std::numeric_limits<double>::quiet_NaN();
     }
-    g[0] = 2.0 * (x[0] - 1.0);
-    return (x[0] - 1.0) * (x[0] - 1.0);
+    g[0] = 2.0 * (x[0] - 2.0);
+    return (x[0] - 2.0) * (x[0] - 2.0);
   };
-  AdamOptions opts;
-  opts.max_iterations = 1000;
-  opts.learning_rate = 0.05;
-  const OptResult r = adam(f, Vec{-2.0}, opts);
+  const OptResult r = lbfgs_box(f, Vec{-3.0}, Vec{-5.0}, Vec{5.0}, 50);
+  EXPECT_GT(nan_evals, 0);
   ASSERT_TRUE(std::isfinite(r.value));
   ASSERT_TRUE(std::isfinite(r.x[0]));
-  EXPECT_NEAR(r.x[0], 1.0, 0.1);
-}
+  EXPECT_LE(r.x[0], 0.5);
+  EXPECT_GT(r.x[0], 0.0);  // still made most of the way to the edge
+  EXPECT_EQ(r.value, (r.x[0] - 2.0) * (r.x[0] - 2.0));
 
-TEST(Adam, NonFiniteInitialValueReportsInfinityNotNan) {
-  // When every evaluation is non-finite the run is a washout, but it must
-  // report +inf — which loses cleanly against any finite restart — rather
-  // than NaN, which the old best-seen comparison propagated to the caller.
-  const auto f = [](std::span<const double>, std::span<double> g) {
+  const auto all_nan = [](std::span<const double>, std::span<double> g) {
     g[0] = std::numeric_limits<double>::quiet_NaN();
     return std::numeric_limits<double>::quiet_NaN();
   };
-  AdamOptions opts;
-  opts.max_iterations = 20;
-  const OptResult r = adam(f, Vec{0.5}, opts);
-  EXPECT_FALSE(std::isnan(r.value));
-  EXPECT_EQ(r.value, std::numeric_limits<double>::infinity());
-  EXPECT_TRUE(std::isfinite(r.x[0]));  // iterate never NaN-poisoned
+  const OptResult washout =
+      lbfgs_box(all_nan, Vec{0.5}, Vec{0.0}, Vec{1.0}, 10);
+  EXPECT_EQ(washout.value, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(washout.x[0], 0.5);
+}
+
+TEST(LbfgsBox, RespectsIterationBudget) {
+  int evals = 0;
+  const auto f = [&](std::span<const double> x, std::span<double> g) {
+    ++evals;
+    return rosenbrock(x, g);
+  };
+  const OptResult r =
+      lbfgs_box(f, Vec{-1.2, 1.0}, Vec{-2.0, -2.0}, Vec{2.0, 2.0}, 5);
+  EXPECT_EQ(r.iterations, 5);
+  EXPECT_FALSE(r.converged);
+  EXPECT_LT(evals, 1 + 5 * 20);  // start + at most the backtracking budget
+  EXPECT_LT(r.value, 24.2);      // f(-1.2, 1) = 24.2: it did descend
+}
+
+TEST(LbfgsBox, IdenticalBitsAcrossCalls) {
+  const Vec lo{-2.0, -2.0}, hi{0.9, 2.0};
+  const OptResult a = lbfgs_box(rosenbrock, Vec{-1.2, 1.0}, lo, hi, 100);
+  const OptResult b = lbfgs_box(rosenbrock, Vec{-1.2, 1.0}, lo, hi, 100);
+  EXPECT_EQ(std::memcmp(&a.value, &b.value, sizeof(double)), 0);
+  ASSERT_EQ(a.x.size(), b.x.size());
+  EXPECT_EQ(std::memcmp(a.x.data(), b.x.data(), a.x.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(a.iterations, b.iterations);
 }
 
 // ---- golden section ------------------------------------------------------------------

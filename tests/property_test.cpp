@@ -77,7 +77,7 @@ TEST(GpProperty, PosteriorInterpolatesWithinNoiseEnvelope) {
     }
     gp::GpOptions options;
     options.restarts = 1;
-    options.adam_iterations = 60;
+    options.max_iterations = 30;
     gp::GaussianProcess model(std::make_unique<gp::Matern52Ard>(dim), options);
     model.fit(x, y, rng);
     const double noise_sd = std::sqrt(model.noise_variance());

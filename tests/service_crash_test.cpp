@@ -34,7 +34,7 @@ core::BoOptions crash_options(std::uint64_t seed) {
   options.max_evaluations = kEvals;
   options.initial_design_size = 3;
   options.surrogate.gp.restarts = 1;
-  options.surrogate.gp.adam_iterations = 20;
+  options.surrogate.gp.max_iterations = 10;
   options.acq_optimizer.random_candidates = 32;
   options.early_term.enabled = false;
   options.async_q = 1;
@@ -50,7 +50,7 @@ std::string create_line(const std::string& id, std::uint64_t seed,
          journal +
          R"(","options":{"max_evaluations":)" + std::to_string(kEvals) +
          R"(,"initial_design_size":3,"gp_restarts":1,)"
-         R"("gp_adam_iterations":20,"acq_random_candidates":32,)"
+         R"("gp_max_iterations":10,"acq_random_candidates":32,)"
          R"("early_term":false},"space":)" +
          util::dump_json(space_to_json(probe.space())) + "}";
 }

@@ -41,7 +41,7 @@ constexpr const char* kSpace =
 
 constexpr const char* kCheapOptions =
     R"("options":{"max_evaluations":4,"initial_design_size":2,)"
-    R"("gp_restarts":1,"gp_adam_iterations":10,"acq_random_candidates":32,)"
+    R"("gp_restarts":1,"gp_max_iterations":5,"acq_random_candidates":32,)"
     R"("early_term":false})";
 
 std::string create_line(const std::string& id,
@@ -178,6 +178,21 @@ TEST(ServiceProtocol, CreateRejectsUnknownOptionKeysAndDuplicateIds) {
   expect_error(manager, create_line("b"), errc::kSessionExists);
 }
 
+TEST(ServiceProtocol, RetiredGpIterationKeyIsUnknown) {
+  // gp_adam_iterations went away with the Adam optimizer; its successor is
+  // gp_max_iterations (L-BFGS iterations per start, used by kCheapOptions).
+  SessionManager manager;
+  const JsonValue reply = call(
+      manager, R"({"op":"create-session","session":"c","options":)"
+               R"({"gp_adam_iterations":30},"space":)" +
+                   std::string(kSpace) + "}");
+  EXPECT_FALSE(reply.at("ok").as_bool());
+  EXPECT_EQ(reply.at("error").as_string(), errc::kBadRequest);
+  EXPECT_EQ(reply.at("detail").as_string(),
+            "options: unknown key 'gp_adam_iterations'");
+  expect_ok(manager, create_line("c"));
+}
+
 TEST(ServiceProtocol, ReportForNeverSuggestedTicketIsUnknownTicket) {
   SessionManager manager;
   expect_ok(manager, create_line("s"));
@@ -239,7 +254,7 @@ TEST(ServiceProtocol, SuggestPastMaxPendingIsTyped) {
   expect_ok(manager,
             R"({"op":"create-session","session":"s","seed":3,)"
             R"("options":{"max_evaluations":8,"initial_design_size":2,)"
-            R"("max_pending":2,"gp_restarts":1,"gp_adam_iterations":10,)"
+            R"("max_pending":2,"gp_restarts":1,"gp_max_iterations":5,)"
             R"("acq_random_candidates":32,"early_term":false},"space":)" +
                 std::string(kSpace) + "}");
   expect_ok(manager, R"({"op":"suggest","session":"s"})");
@@ -253,7 +268,7 @@ TEST(ServiceProtocol, SuggestPastBudgetIsTyped) {
   expect_ok(manager,
             R"({"op":"create-session","session":"s","seed":3,)"
             R"("options":{"max_evaluations":2,"initial_design_size":2,)"
-            R"("gp_restarts":1,"gp_adam_iterations":10,)"
+            R"("gp_restarts":1,"gp_max_iterations":5,)"
             R"("acq_random_candidates":32,"early_term":false},"space":)" +
                 std::string(kSpace) + "}");
   for (int ticket = 0; ticket < 2; ++ticket) {

@@ -35,7 +35,7 @@ core::BoOptions reference_options(std::uint64_t seed, int evals, int q,
   options.max_evaluations = evals;
   options.initial_design_size = 3;
   options.surrogate.gp.restarts = 1;
-  options.surrogate.gp.adam_iterations = 30;
+  options.surrogate.gp.max_iterations = 15;
   options.acq_optimizer.random_candidates = 64;
   // The wire drive evaluates without a RunController, so the reference
   // must not early-terminate either.
@@ -55,7 +55,7 @@ std::string create_line(const std::string& id, std::uint64_t seed, int evals,
   if (!journal.empty()) line += R"("journal":")" + journal + R"(",)";
   line += R"("options":{"max_evaluations":)" + std::to_string(evals) +
           R"(,"initial_design_size":3,"gp_restarts":1,)"
-          R"("gp_adam_iterations":30,"acq_random_candidates":64,)"
+          R"("gp_max_iterations":15,"acq_random_candidates":64,)"
           R"("early_term":false},"space":)" +
           util::dump_json(space_to_json(probe.space())) + "}";
   return line;

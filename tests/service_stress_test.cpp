@@ -83,7 +83,7 @@ core::BoOptions stress_options(std::uint64_t seed) {
   options.max_evaluations = kEvals;
   options.initial_design_size = 2;
   options.surrogate.gp.restarts = 1;
-  options.surrogate.gp.adam_iterations = 12;
+  options.surrogate.gp.max_iterations = 6;
   options.acq_optimizer.random_candidates = 32;
   options.early_term.enabled = false;
   options.async_q = 1;
@@ -105,7 +105,7 @@ std::string create_line(int i) {
          R"(,"target_metric":0.9,"journal":")" + journal_path(i) +
          R"(","options":{"max_evaluations":)" + std::to_string(kEvals) +
          R"(,"initial_design_size":2,"gp_restarts":1,)"
-         R"("gp_adam_iterations":12,"acq_random_candidates":32,)"
+         R"("gp_max_iterations":6,"acq_random_candidates":32,)"
          R"("early_term":false},"space":)" +
          util::dump_json(space_to_json(probe.space())) + "}";
 }

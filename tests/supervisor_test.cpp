@@ -246,7 +246,7 @@ TEST(Supervisor, FeasibilityModelIgnoresTransientFailures) {
 
   core::SurrogateOptions options;
   options.gp.restarts = 1;
-  options.gp.adam_iterations = 40;
+  options.gp.max_iterations = 20;
   core::SurrogateModel surrogate(space, options, /*seed=*/9);
   surrogate.update(trials);
   ASSERT_TRUE(surrogate.ready());

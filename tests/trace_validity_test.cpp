@@ -27,7 +27,7 @@ std::string traced_session_json() {
   options.max_evaluations = 6;
   options.initial_design_size = 4;
   options.surrogate.gp.restarts = 1;
-  options.surrogate.gp.adam_iterations = 40;
+  options.surrogate.gp.max_iterations = 20;
   options.acq_optimizer.random_candidates = 128;
   core::BoTuner tuner(objective, options);
   tuner.tune();

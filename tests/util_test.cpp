@@ -335,6 +335,26 @@ TEST(ArgParse, BoolSpellings) {
   EXPECT_FALSE(args.get_bool("d", true));
 }
 
+TEST(ArgParse, UnknownFlagNamesTheFirstOneWithAHint) {
+  constexpr std::string_view kKnown[] = {"async-q", "async-workers", "evals"};
+  const char* argv[] = {"prog", "tune", "--evals=3", "--asyncq=4",
+                        "--zzzzzz"};
+  const ArgParser args(5, argv);
+  EXPECT_EQ(args.unknown_flag(kKnown),
+            "unknown flag --asyncq (did you mean --async-q?)");
+
+  const char* far[] = {"prog", "--zzzzzz", "--asyncq"};
+  EXPECT_EQ(ArgParser(3, far).unknown_flag(kKnown), "unknown flag --zzzzzz");
+}
+
+TEST(ArgParse, KnownFlagsPassTheCheck) {
+  constexpr std::string_view kKnown[] = {"evals", "demo"};
+  const char* argv[] = {"prog", "tune", "--evals=3", "--demo", "positional"};
+  EXPECT_EQ(ArgParser(5, argv).unknown_flag(kKnown), std::nullopt);
+  const char* none[] = {"prog"};
+  EXPECT_EQ(ArgParser(1, none).unknown_flag({}), std::nullopt);
+}
+
 // ---- thread_pool ----------------------------------------------------------------
 
 TEST(ThreadPool, RunsAllTasks) {
