@@ -29,12 +29,15 @@
 //
 // Usage: bench_inner_loop [--smoke] [--out=BENCH_inner_loop.json]
 //                         [--reps=N] [--threads=K] [--rff-features=M]
+//                         [--candidates=C]
+// Any other flag exits 2 with "unknown flag --NAME (did you mean ...?)".
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <iostream>
 #include <numeric>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -463,6 +466,12 @@ double measure_policy_ms(const conf::ConfigSpace& space,
 
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
+  static constexpr std::string_view kFlags[] = {
+      "smoke", "reps", "candidates", "rff-features", "threads", "out"};
+  if (const auto error = args.unknown_flag(kFlags)) {
+    std::cerr << *error << "\n";
+    return 2;
+  }
   const bool smoke = args.get_bool("smoke", false) || args.has("smoke");
   const int reps = static_cast<int>(args.get_int("reps", smoke ? 3 : 8));
   const int candidates =

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <future>
 #include <set>
+#include <stdexcept>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -80,6 +81,12 @@ std::optional<conf::Config> propose_candidate(
     std::span<const Trial> history, util::Rng& rng,
     const AcqOptimizerOptions& options) {
   ADML_SPAN("acq.propose");
+  if (kind == AcquisitionKind::kEiPerCost && !surrogate.models_cost()) {
+    // Scoring would read log_cost = 0 and silently rank by log-EI.
+    throw std::logic_error(
+        "propose_candidate: eipercost needs a surrogate built with the cost "
+        "model (SurrogateModel acquisition = kEiPerCost)");
+  }
   const conf::ConfigSpace& space = surrogate.space();
   const std::set<math::Vec> seen = encode_history(space, history);
 

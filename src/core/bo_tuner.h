@@ -5,10 +5,11 @@
 //   ask   — the next proposal. The first initial_design_size tickets are a
 //           space-filling design (Latin hypercube by default), evaluated to
 //           completion: the model needs uncensored observations to anchor.
-//           Every later ticket fits the surrogate (objective + feasibility +
-//           cost GPs) and maximizes the acquisition over a mixed candidate
-//           pool, conditioned on kriging-believer fantasies of the tickets
-//           still outstanding.
+//           Every later ticket fits the surrogate (objective and, once
+//           failures exist, feasibility GPs; a cost GP only under the
+//           EI-per-cost acquisition, its sole reader) and maximizes the
+//           acquisition over a mixed candidate pool, conditioned on
+//           kriging-believer fantasies of the tickets still outstanding.
 //   evaluate — run the proposal under the early-termination policy
 //           (hopeless runs are killed from their learning curve).
 //   tell  — record the trial; results are ingested strictly in ticket order.

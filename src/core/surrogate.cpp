@@ -33,8 +33,13 @@ std::unique_ptr<gp::RffRegressor> make_rff(std::size_t dim,
 }  // namespace
 
 SurrogateModel::SurrogateModel(const conf::ConfigSpace& space,
-                               SurrogateOptions options, std::uint64_t seed)
-    : space_(&space), options_(options), rng_(seed), seed_(seed) {}
+                               SurrogateOptions options, std::uint64_t seed,
+                               AcquisitionKind acquisition)
+    : space_(&space),
+      options_(options),
+      rng_(seed),
+      seed_(seed),
+      models_cost_(acquisition == AcquisitionKind::kEiPerCost) {}
 
 void SurrogateModel::update(std::span<const Trial> trials) {
   ADML_SPAN("surrogate.update");
@@ -77,7 +82,7 @@ void SurrogateModel::update(std::span<const Trial> trials) {
       ok_x.push_back(x);
       ok_y.push_back(std::log(std::max(t.outcome.projected_objective, 1e-9)));
     }
-    if (!t.outcome.aborted && t.outcome.spent_seconds > 0.0) {
+    if (models_cost_ && !t.outcome.aborted && t.outcome.spent_seconds > 0.0) {
       cost_x.push_back(x);
       cost_y.push_back(std::log(t.outcome.spent_seconds));
     }
@@ -111,8 +116,10 @@ void SurrogateModel::update(std::span<const Trial> trials) {
     }
     fit_or_append(objective_gp_, objective_cache_, ok_x, ok_y, full_hyperopt,
                   /*role_salt=*/0);
-    fit_or_append(cost_gp_, cost_cache_, cost_x, cost_y, full_hyperopt,
-                  /*role_salt=*/1);
+    if (models_cost_) {
+      fit_or_append(cost_gp_, cost_cache_, cost_x, cost_y, full_hyperopt,
+                    /*role_salt=*/1);
+    }
     // Feasibility model only earns its keep once failures exist; a constant
     // label vector would just burn a GP fit.
     if (failures > 0 && feas_y.size() >= 3) {
@@ -137,7 +144,9 @@ void SurrogateModel::update(std::span<const Trial> trials) {
         ADML_COUNT("surrogate.refit_evidence", 1);
         full_hyperopt = true;
         fit_or_append(objective_gp_, objective_cache_, ok_x, ok_y, true, 0);
-        fit_or_append(cost_gp_, cost_cache_, cost_x, cost_y, true, 1);
+        if (models_cost_) {
+          fit_or_append(cost_gp_, cost_cache_, cost_x, cost_y, true, 1);
+        }
         if (feasibility_gp_) {
           fit_or_append(feasibility_gp_, feasibility_cache_, all_x, feas_y,
                         true, 2);

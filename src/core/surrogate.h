@@ -1,6 +1,6 @@
 // Surrogate model over the encoded configuration space.
 //
-// Three coupled GPs, mirroring what the paper's tuner must track:
+// Up to three coupled GPs, mirroring what the paper's tuner must track:
 //   - objective GP on log(objective) of successful trials — the response
 //     surface spans decades, so the log transform is what makes a
 //     stationary kernel plausible;
@@ -9,7 +9,10 @@
 //     tuner can learn to avoid paying for them; transient failures —
 //     preemptions, infra crashes — are environment noise and excluded);
 //   - cost GP on log(evaluation cost) of completed trials, feeding the
-//     EI-per-cost acquisition (CherryPick-style cost awareness).
+//     EI-per-cost acquisition (CherryPick-style cost awareness). It is the
+//     only reader of the cost model, so the model exists only when the
+//     surrogate is built for AcquisitionKind::kEiPerCost; under every other
+//     acquisition no cost GP is fitted, appended or predicted.
 // Aborted runs contribute to feasibility (they did not crash) but not to
 // the objective model (their final value is censored).
 #pragma once
@@ -19,6 +22,7 @@
 #include <span>
 
 #include "config/config_space.h"
+#include "core/acquisition.h"
 #include "core/tuner_types.h"
 #include "gp/gp.h"
 
@@ -66,13 +70,18 @@ struct SurrogateScore {
   double mean = 0.0;          // posterior mean of log objective
   double variance = 0.0;
   double prob_feasible = 1.0;
-  double log_cost = 0.0;      // posterior mean of log evaluation cost
+  /// Posterior mean of log evaluation cost; stays 0 when the surrogate
+  /// has no cost model (see SurrogateModel::models_cost).
+  double log_cost = 0.0;
 };
 
 class SurrogateModel {
  public:
+  /// `acquisition` is the acquisition the model will be scored for: it
+  /// decides whether a cost GP is maintained (kEiPerCost only).
   SurrogateModel(const conf::ConfigSpace& space, SurrogateOptions options,
-                 std::uint64_t seed);
+                 std::uint64_t seed,
+                 AcquisitionKind acquisition = AcquisitionKind::kLogEi);
 
   /// Rebuild from the full trial history (idempotent).
   void update(std::span<const Trial> trials);
@@ -97,6 +106,9 @@ class SurrogateModel {
   math::Vec ard_relevance() const;
 
   const conf::ConfigSpace& space() const { return *space_; }
+
+  /// True when the model fits a cost GP (built for kEiPerCost).
+  bool models_cost() const { return models_cost_; }
 
   /// Backend currently serving the objective model ("exact"/"rff"), or
   /// nullptr before the first fit. Diagnostics/testing surface.
@@ -123,6 +135,7 @@ class SurrogateModel {
   SurrogateOptions options_;
   util::Rng rng_;
   std::uint64_t seed_;
+  bool models_cost_;
   int updates_since_hyperopt_ = 0;
   /// Objective model's per-point negative LML recorded at the last
   /// hyperopt; reference for the evidence-based refit trigger.

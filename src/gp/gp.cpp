@@ -44,9 +44,7 @@ GaussianProcess::GaussianProcess(const GaussianProcess& other)
       y_mean_(other.y_mean_),
       y_scale_(other.y_scale_),
       factor_(other.factor_),
-      alpha_(other.alpha_),
-      data_version_(other.data_version_),
-      lml_cache_(other.lml_cache_) {}
+      alpha_(other.alpha_) {}
 
 math::Vec GaussianProcess::packed_hypers() const {
   math::Vec packed = kernel_->hyperparams();
@@ -62,12 +60,6 @@ void GaussianProcess::apply_packed(std::span<const double> packed) {
 
 GaussianProcess::LmlResult GaussianProcess::negative_lml(
     std::span<const double> packed) const {
-  if (lml_cache_ && lml_cache_->data_version == data_version_ &&
-      lml_cache_->theta.size() == packed.size() &&
-      std::equal(packed.begin(), packed.end(), lml_cache_->theta.begin())) {
-    ADML_COUNT("gp.lml_cache_hits", 1);
-    return lml_cache_->result;
-  }
   ADML_COUNT("gp.lml_evals", 1);
 
   // The scratch kernel carries the trial hyperparameters so the public
@@ -139,8 +131,6 @@ GaussianProcess::LmlResult GaussianProcess::negative_lml(
       if (i == j) out.grad[n_kernel] += -0.5 * w * noise_var;
     }
   }
-  lml_cache_ = LmlCache{math::Vec(packed.begin(), packed.end()),
-                        data_version_, out};
   return out;
 }
 
@@ -188,8 +178,6 @@ void GaussianProcess::refit(const math::Matrix& x, std::span<const double> y) {
   for (std::size_t i = 0; i < y.size(); ++i) {
     targets_std_[i] = (y[i] - y_mean_) / y_scale_;
   }
-  ++data_version_;
-  lml_cache_.reset();
   factorize();
 }
 
@@ -220,8 +208,6 @@ bool GaussianProcess::append_observation(std::span<const double> x, double y) {
   std::copy(x.begin(), x.end(), xe.row(n).begin());
   x_ = std::move(xe);
   targets_raw_.push_back(y);
-  ++data_version_;
-  lml_cache_.reset();
 
   // Standardization statistics shift with the new target; the Gram matrix
   // does not depend on them, so only alpha needs recomputing.

@@ -85,9 +85,9 @@ class GaussianProcess final : public Regressor {
 
   /// Negative LML and analytic gradient at the given packed
   /// log-hyperparameters [kernel..., log noise], on the current training
-  /// data. Public as a diagnostic/testing surface (gradient checks); the
-  /// result is memoized per (theta, data), so evaluating the same theta
-  /// twice in a row is free.
+  /// data. Public as a diagnostic/testing surface (gradient checks). Every
+  /// call is a full evaluation counted in `gp.lml_evals`: the L-BFGS fit
+  /// never revisits a theta, so nothing is memoized.
   ///
   /// One fused kernel pass per training pair (Kernel::eval_pair, then
   /// Kernel::add_scaled_grad in the gradient pass): no kernel clone and no
@@ -110,7 +110,7 @@ class GaussianProcess final : public Regressor {
 
   std::unique_ptr<Kernel> kernel_;
   /// Scratch copy negative_lml loads each trial theta into (no per-call
-  /// clone); only negative_lml touches it, like lml_cache_.
+  /// clone); only negative_lml touches it.
   mutable std::unique_ptr<Kernel> lml_kernel_;
   GpOptions options_;
   double log_noise_;
@@ -124,19 +124,6 @@ class GaussianProcess final : public Regressor {
 
   std::optional<math::CholeskyFactor> factor_;
   math::Vec alpha_;  // (K + sigma^2 I)^{-1} y_std
-
-  /// Bumped whenever the training set changes; keys the negative_lml memo.
-  std::uint64_t data_version_ = 0;
-  struct LmlCache {
-    math::Vec theta;
-    std::uint64_t data_version = 0;
-    LmlResult result;
-  };
-  /// Last negative_lml evaluation, keyed by (theta, data). A warm start
-  /// that is already a stationary point, or a caller re-evaluating the
-  /// fitted theta, repeats the previous theta on the same X — one memo slot
-  /// eliminates the duplicated Gram build + factorization.
-  mutable std::optional<LmlCache> lml_cache_;
 };
 
 }  // namespace autodml::gp

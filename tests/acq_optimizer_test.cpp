@@ -138,7 +138,7 @@ TEST(AcqOptimizer, CostAwareAcquisitionShiftsProposals) {
   // Same objective everywhere, but mode=b "costs" 100x more to evaluate:
   // EI-per-cost should mostly propose mode=a.
   SyntheticObjective objective;
-  SurrogateModel model(objective.space(), {}, 1);
+  SurrogateModel model(objective.space(), {}, 1, AcquisitionKind::kEiPerCost);
   std::vector<Trial> history;
   util::Rng rng(11);
   for (int i = 0; i < 30; ++i) {
@@ -163,6 +163,23 @@ TEST(AcqOptimizer, CostAwareAcquisitionShiftsProposals) {
     model.update(history);
   }
   EXPECT_GE(cheap, proposals * 6 / 10);
+}
+
+TEST(AcqOptimizer, EiPerCostWithoutCostModelThrows) {
+  // A surrogate built for another acquisition has no cost model: scoring
+  // EI-per-cost on it would read log_cost = 0 and quietly rank by log-EI.
+  SyntheticObjective objective;
+  const auto history = quadratic_history(objective, 12, 14);
+  SurrogateModel model(objective.space(), {}, 1);
+  model.update(history);
+  ASSERT_FALSE(model.models_cost());
+  util::Rng rng(15);
+  EXPECT_THROW(
+      propose_candidate(model, AcquisitionKind::kEiPerCost, history, rng),
+      std::logic_error);
+  EXPECT_TRUE(
+      propose_candidate(model, AcquisitionKind::kLogEi, history, rng)
+          .has_value());
 }
 
 TEST(AcqOptimizer, NeighborhoodSeedsComeFromBestTrials) {
@@ -274,10 +291,12 @@ TEST(ProposeBatch, BatchMirrorsKrigingBelieverByHand) {
   // in the constructor.
   util::Rng mirror_rng(seed);
   SurrogateModel model(objective.space(), {},
-                       util::Rng(seed).split().next_u64());
+                       util::Rng(seed).split().next_u64(),
+                       AcquisitionKind::kEiPerCost);
   SurrogateModel fantasy_model(
       objective.space(), {},
-      util::Rng(seed ^ 0x517cc1b727220a95ULL).split().next_u64());
+      util::Rng(seed ^ 0x517cc1b727220a95ULL).split().next_u64(),
+      AcquisitionKind::kEiPerCost);
   ASSERT_TRUE(conf::latin_hypercube(objective.space(), 0, mirror_rng).empty());
   std::vector<Trial> augmented = history;
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -336,7 +355,7 @@ TEST(MakeFantasyTrial, FantasiesLeaveFeasibilityAndCostModelsUntouched) {
     history.push_back(std::move(t));
   }
 
-  SurrogateModel plain(objective.space(), {}, 7);
+  SurrogateModel plain(objective.space(), {}, 7, AcquisitionKind::kEiPerCost);
   plain.update(history);
   ASSERT_TRUE(plain.ready());
 
@@ -348,7 +367,8 @@ TEST(MakeFantasyTrial, FantasiesLeaveFeasibilityAndCostModelsUntouched) {
     c.set_double("x", x);
     augmented.push_back(make_fantasy_trial(plain, c));
   }
-  SurrogateModel with_fantasies(objective.space(), {}, 7);
+  SurrogateModel with_fantasies(objective.space(), {}, 7,
+                                AcquisitionKind::kEiPerCost);
   with_fantasies.update(augmented);
   ASSERT_TRUE(with_fantasies.ready());
 

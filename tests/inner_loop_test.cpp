@@ -277,9 +277,10 @@ TEST(LmlGradient, MemoInvalidatedWhenDataChanges) {
   math::Vec packed = gp.kernel().hyperparams();
   packed.push_back(std::log(1e-2));
   const double v1 = gp.negative_lml(packed).value;
-  EXPECT_DOUBLE_EQ(gp.negative_lml(packed).value, v1);  // memo hit
+  EXPECT_DOUBLE_EQ(gp.negative_lml(packed).value, v1);  // repeat evaluation
   gp.append_observation(d.x.row(9), d.y[9]);
-  // Same theta, different data: the memo must not serve the stale value.
+  // Same theta, different data: the evaluation must see the appended row,
+  // not state left from the previous training set.
   EXPECT_NE(gp.negative_lml(packed).value, v1);
 }
 
@@ -287,7 +288,9 @@ TEST(LmlGradient, MemoInvalidatedWhenDataChanges) {
 
 TEST(ProposeCandidate, BitIdenticalAcrossThreadCounts) {
   testing::SyntheticObjective objective;
-  core::SurrogateModel model(objective.space(), {}, 1);
+  // Built with the cost model so the same fit serves both kinds below.
+  core::SurrogateModel model(objective.space(), {}, 1,
+                             core::AcquisitionKind::kEiPerCost);
   util::Rng hist_rng(41);
   std::vector<core::Trial> history;
   for (int i = 0; i < 24; ++i) {

@@ -513,21 +513,6 @@ TEST(LbfgsBox, IdenticalBitsAcrossCalls) {
   EXPECT_EQ(a.iterations, b.iterations);
 }
 
-// ---- golden section ------------------------------------------------------------------
-
-TEST(GoldenSection, FindsMinimum) {
-  const auto f = [](double x) { return (x - 1.7) * (x - 1.7) + 0.5; };
-  const OptResult r = golden_section(f, 0.0, 5.0);
-  EXPECT_NEAR(r.x[0], 1.7, 1e-6);
-  EXPECT_TRUE(r.converged);
-}
-
-TEST(GoldenSection, HandlesSwappedBounds) {
-  const auto f = [](double x) { return std::abs(x - 2.0); };
-  const OptResult r = golden_section(f, 5.0, 0.0);
-  EXPECT_NEAR(r.x[0], 2.0, 1e-5);
-}
-
 // ---- numerical gradient ---------------------------------------------------------------
 
 TEST(NumericalGradient, MatchesAnalytic) {

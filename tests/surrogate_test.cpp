@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/surrogate.h"
+#include "obs/metrics.h"
 #include "synthetic_objective.h"
 
 namespace autodml::core {
@@ -141,7 +143,7 @@ TEST(Surrogate, AbortedRunsAreCensoredFromObjective) {
 
 TEST(Surrogate, CostModelTracksSpentSeconds) {
   SyntheticObjective objective;
-  SurrogateModel model(objective.space(), {}, 1);
+  SurrogateModel model(objective.space(), {}, 1, AcquisitionKind::kEiPerCost);
   const auto trials = sample_trials(objective, 30, 9);
   model.update(trials);
   // Cheap config (low objective = low spent) vs expensive one.
@@ -153,6 +155,43 @@ TEST(Surrogate, CostModelTracksSpentSeconds) {
   costly.set_cat("mode", "b");
   costly.set_int("k", 1);
   EXPECT_LT(model.score(cheap).log_cost, model.score(costly).log_cost);
+}
+
+TEST(Surrogate, CostModelOnlyForEiPerCost) {
+  // Failure-free trials: no feasibility GP, so each hyperopt update fits
+  // the objective GP, plus the cost GP only when EI-per-cost reads it.
+  SyntheticObjective objective;
+  util::Rng rng(12);
+  std::vector<Trial> trials;
+  for (int i = 0; i < 14; ++i) {
+    conf::Config c = objective.space().sample_uniform(rng);
+    c.set_double("x", std::min(c.get_double("x"), 0.9));
+    trials.push_back(make_trial(c, objective.true_value(c), true));
+  }
+  auto& registry = obs::MetricsRegistry::instance();
+  registry.enable();
+  for (const auto kind : {AcquisitionKind::kLogEi,
+                          AcquisitionKind::kEiPerCost}) {
+    registry.reset();
+    const auto& rounds = registry.counter("gp.hyperopt_rounds");
+    SurrogateModel model(objective.space(), {}, 1, kind);
+    const std::int64_t per_update =
+        kind == AcquisitionKind::kEiPerCost ? 2 : 1;
+    EXPECT_EQ(model.models_cost(), per_update == 2);
+    for (std::size_t n = 10; n <= trials.size(); ++n) {
+      const std::int64_t before = rounds.value();
+      model.update(std::span(trials).first(n));
+      EXPECT_EQ(rounds.value() - before, per_update)
+          << to_string(kind) << " n=" << n;
+    }
+    const double log_cost = model.score(trials[0].config).log_cost;
+    if (model.models_cost()) {
+      EXPECT_NE(log_cost, 0.0);
+    } else {
+      EXPECT_EQ(log_cost, 0.0);
+    }
+  }
+  registry.disable();
 }
 
 TEST(Surrogate, ArdRelevanceHasEncodedDimension) {

@@ -16,8 +16,9 @@
 //              [--async-q=Q]
 //
 // Exit 0 when --target-cycles kill/resume cycles all recovered and every
-// completed session matched its reference; nonzero (with the offending
-// seed and files preserved in --workdir) otherwise. The default budget of
+// completed session matched its reference; 2 on a flag not listed above
+// ("unknown flag --NAME (did you mean --FLAG?)"); otherwise nonzero, with
+// the offending seed and files preserved in --workdir. The default budget of
 // 200 cycles across 3 seeds is what CI runs; the ctest smoke registration
 // uses a reduced budget.
 #include <sys/wait.h>
@@ -26,6 +27,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/arg_parse.h"
@@ -80,6 +82,13 @@ bool files_identical(const std::string& a, const std::string& b,
 
 int main(int argc, char** argv) {
   const autodml::util::ArgParser args(argc, argv);
+  static constexpr std::string_view kFlags[] = {
+      "cli",          "workload", "evals",      "seeds",       "target-cycles",
+      "max-kill-hit", "workdir",  "chaos-seed", "refit-every", "async-q"};
+  if (const auto error = args.unknown_flag(kFlags)) {
+    std::fprintf(stderr, "%s\n", error->c_str());
+    return 2;
+  }
   const std::string cli = args.get("cli", "");
   if (cli.empty()) {
     std::fprintf(stderr, "usage: adml-chaos --cli=PATH [--flags]\n");
