@@ -5,6 +5,13 @@
 // within 1.2x of the oracle (budget+1 when never reached), and search cost.
 // Expected shape: log-EI ~ EI >= UCB > PI on quality; EI-per-cost trades a
 // little quality for cheaper searches.
+//
+//   ./build/bench/bench_acquisition [--seeds=3] [--evals=30]
+//       [--workloads=mf-recsys,cnn-cifar]
+//
+// Any other flag is rejected (exit 2).
+#include <iostream>
+
 #include "bench_common.h"
 #include "util/arg_parse.h"
 
@@ -12,6 +19,12 @@ using namespace autodml;
 
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
+  static constexpr std::string_view kFlags[] = {"seeds", "evals",
+                                                "workloads"};
+  if (const auto error = args.unknown_flag(kFlags)) {
+    std::cerr << *error << "\n";
+    return 2;
+  }
   const int seeds = static_cast<int>(args.get_int("seeds", 3));
   const int evals = static_cast<int>(args.get_int("evals", 30));
   const std::vector<std::string> workloads =

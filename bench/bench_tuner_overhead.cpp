@@ -10,8 +10,11 @@
 // cluster-hours per evaluation.
 //
 //   ./build/bench/bench_tuner_overhead [--reps=5]
+//
+// Any other flag is rejected (exit 2).
 #include <algorithm>
 #include <functional>
+#include <iostream>
 #include <limits>
 
 #include "bench_common.h"
@@ -51,6 +54,11 @@ double min_ms(int reps, const std::function<void()>& body) {
 
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
+  static constexpr std::string_view kFlags[] = {"reps"};
+  if (const auto error = args.unknown_flag(kFlags)) {
+    std::cerr << *error << "\n";
+    return 2;
+  }
   const int reps = static_cast<int>(args.get_int("reps", 5));
   const wl::Workload& workload = wl::workload_by_name("mlp-tabular");
   wl::Evaluator evaluator(workload, 1);

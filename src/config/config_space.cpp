@@ -114,7 +114,11 @@ void ConfigSpace::add(ParamSpec spec) {
       }
     }
   }
+  parent_index_.push_back(
+      spec.is_conditional() ? index_.find(spec.parent())->second : 0);
   index_.emplace(spec.name(), params_.size());
+  defaults_.push_back(spec.default_value());
+  encoded_dimension_ += spec.encoded_width();
   params_.push_back(std::move(spec));
 }
 
@@ -134,12 +138,6 @@ bool ConfigSpace::contains(std::string_view name) const {
   return index_.find(name) != index_.end();
 }
 
-std::size_t ConfigSpace::encoded_dimension() const {
-  std::size_t d = 0;
-  for (const auto& p : params_) d += p.encoded_width();
-  return d;
-}
-
 Config ConfigSpace::default_config() const {
   std::vector<ParamValue> values;
   values.reserve(params_.size());
@@ -149,16 +147,28 @@ Config ConfigSpace::default_config() const {
   return c;
 }
 
+bool ConfigSpace::parent_enables(std::size_t i,
+                                 const ParamValue& v) const {
+  const auto& values = params_[i].parent_values();
+  const auto listed = [&](std::string_view s) {
+    return std::find(values.begin(), values.end(), s) != values.end();
+  };
+  if (const auto* b = std::get_if<bool>(&v)) {
+    return listed(*b ? "true" : "false");
+  }
+  if (const auto* s = std::get_if<std::string>(&v)) return listed(*s);
+  // An ill-typed parent value (never one that passed validate()) matches
+  // by its rendering, as every parent value once did.
+  return listed(conf::to_string(v));
+}
+
 bool ConfigSpace::is_active(const Config& c, std::size_t param_index) const {
   const ParamSpec& p = params_.at(param_index);
   if (!p.is_conditional()) return true;
-  const std::size_t parent_index = index_of(p.parent());
+  const std::size_t parent_index = parent_index_[param_index];
   // A conditional parameter whose parent is itself inactive is inactive.
   if (!is_active(c, parent_index)) return false;
-  const ParamValue& pv = c.value_at(parent_index);
-  const std::string actual = conf::to_string(pv);
-  return std::find(p.parent_values().begin(), p.parent_values().end(),
-                   actual) != p.parent_values().end();
+  return parent_enables(param_index, c.value_at(parent_index));
 }
 
 void ConfigSpace::canonicalize(Config& c) const {
@@ -265,23 +275,31 @@ ParamValue ConfigSpace::decode_scalar(const ParamSpec& p, double u) const {
 }
 
 math::Vec ConfigSpace::encode(const Config& c) const {
+  math::Vec x(encoded_dimension_);
+  encode_into(c, x);
+  return x;
+}
+
+void ConfigSpace::encode_into(const Config& c, std::span<double> out) const {
   validate(c);
-  Config canon = c;
-  canonicalize(canon);
-  math::Vec x;
-  x.reserve(encoded_dimension());
+  if (out.size() != encoded_dimension_)
+    throw std::invalid_argument("encode: output dimension mismatch");
+  // Activity does not depend on canonicalization (an inactive parent makes
+  // its whole subtree inactive whatever it holds), so reading each inactive
+  // parameter's default in place of its value encodes the canonical config.
+  std::size_t pos = 0;
   for (std::size_t i = 0; i < params_.size(); ++i) {
     const ParamSpec& p = params_[i];
+    const ParamValue& v = is_active(c, i) ? c.value_at(i) : defaults_[i];
     if (p.kind() == ParamKind::kCategorical) {
-      const auto& cat = std::get<std::string>(canon.value_at(i));
+      const auto& cat = std::get<std::string>(v);
       for (const auto& candidate : p.categories()) {
-        x.push_back(candidate == cat ? 1.0 : 0.0);
+        out[pos++] = candidate == cat ? 1.0 : 0.0;
       }
     } else {
-      x.push_back(encode_scalar(p, canon.value_at(i)));
+      out[pos++] = encode_scalar(p, v);
     }
   }
-  return x;
 }
 
 Config ConfigSpace::decode(std::span<const double> x) const {

@@ -83,7 +83,8 @@ class Config {
 class ConfigSpace {
  public:
   /// Adds a parameter. Conditional parents must already be present and be
-  /// categorical or boolean. Names must be unique.
+  /// categorical or boolean. Names must be unique. Resolves the parent's
+  /// index once here, so activation tests never look a name up.
   void add(ParamSpec spec);
 
   std::size_t num_params() const { return params_.size(); }
@@ -93,7 +94,7 @@ class ConfigSpace {
   bool contains(std::string_view name) const;
 
   /// Total unit-hypercube dimension (sum of encoded widths).
-  std::size_t encoded_dimension() const;
+  std::size_t encoded_dimension() const { return encoded_dimension_; }
 
   /// Config with every parameter at its default value, canonicalized.
   Config default_config() const;
@@ -107,8 +108,14 @@ class ConfigSpace {
   /// Throws std::invalid_argument naming the first offending parameter.
   void validate(const Config& c) const;
 
-  /// Encode to [0,1]^encoded_dimension() (canonicalizes a copy first).
+  /// Encode to [0,1]^encoded_dimension(): inactive conditional parameters
+  /// encode as their defaults, exactly as if `c` had been canonicalized.
   math::Vec encode(const Config& c) const;
+
+  /// encode() into `out` (encoded_dimension() entries), with no copy of
+  /// the config and no allocation: the acquisition pool encodes each
+  /// candidate straight into its row.
+  void encode_into(const Config& c, std::span<double> out) const;
 
   /// Decode an arbitrary real vector (values clamped into [0,1]) to the
   /// nearest valid configuration, canonicalized.
@@ -146,7 +153,15 @@ class ConfigSpace {
   double encode_scalar(const ParamSpec& p, const ParamValue& v) const;
   ParamValue decode_scalar(const ParamSpec& p, double u) const;
 
+  /// True when `v`, the value of param `i`'s parent, enables param `i`.
+  bool parent_enables(std::size_t i, const ParamValue& v) const;
+
   std::vector<ParamSpec> params_;
+  /// Parent of each conditional parameter, resolved in add() (0 for
+  /// unconditional ones, never read).
+  std::vector<std::size_t> parent_index_;
+  std::vector<ParamValue> defaults_;  // params_[i].default_value()
+  std::size_t encoded_dimension_ = 0;
   std::map<std::string, std::size_t, std::less<>> index_;
   std::shared_ptr<const char> liveness_ = std::make_shared<const char>('\0');
 };

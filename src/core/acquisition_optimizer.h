@@ -6,10 +6,15 @@
 // trials so far (local exploitation), deduplicated against the history, and
 // return the argmax. This is the standard recipe for CherryPick-class tuners
 // and is exact enough when one real evaluation costs hours.
+//
+// The pool lives in the encoded space: each candidate is encoded once into
+// a row, deduplicated on its row, and scored with the surrogate's batched
+// prediction (SurrogateModel::score_batch).
 #pragma once
 
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "core/acquisition.h"
 #include "core/surrogate.h"
@@ -30,8 +35,9 @@ struct AcqOptimizerOptions {
   /// Optional worker pool for concurrent candidate scoring (not owned;
   /// nullptr = serial). Determinism contract: candidates are generated and
   /// deduplicated serially from the caller's RNG, scored concurrently into
-  /// per-candidate slots, and reduced to the lowest-index argmax — the
-  /// proposal is identical at any thread count, including serial.
+  /// per-candidate slots (a candidate's score does not depend on its chunk
+  /// or block), and reduced to the lowest-index argmax — the proposal is
+  /// identical at any thread count, including serial.
   util::ThreadPool* pool = nullptr;
 };
 
@@ -43,6 +49,16 @@ std::optional<conf::Config> propose_candidate(
     const SurrogateModel& surrogate, AcquisitionKind kind,
     std::span<const Trial> history, util::Rng& rng,
     const AcqOptimizerOptions& options = {});
+
+/// propose_candidate's dedup step, exposed for tests. `rows` is row-major,
+/// `dim` wide: the encoded history first, then the encoded pool from row
+/// `first_pool_row` on. Returns, in ascending order, the pool rows that
+/// equal (element-wise, so 0.0 and -0.0 match) no history row and no
+/// earlier pool row: the first occurrence of each pooled encoding
+/// survives.
+std::vector<std::size_t> unique_pool_rows(std::span<const double> rows,
+                                          std::size_t dim,
+                                          std::size_t first_pool_row);
 
 /// Kriging-believer fantasy for a pending evaluation at `config`: a tagged
 /// placeholder trial whose objective is the model's posterior mean there

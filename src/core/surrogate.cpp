@@ -310,21 +310,39 @@ SurrogateScore SurrogateModel::score(const conf::Config& config) const {
   if (!ready()) throw std::logic_error("SurrogateModel: not ready");
   const math::Vec x = space_->encode(config);
   SurrogateScore out;
-  const gp::GpPrediction obj = objective_gp_->predict(x);
-  out.mean = obj.mean;
-  out.variance = obj.variance;
+  score_batch(x, std::span(&out, 1));
+  return out;
+}
+
+void SurrogateModel::score_batch(std::span<const double> rows,
+                                 std::span<SurrogateScore> out) const {
+  if (!ready()) throw std::logic_error("SurrogateModel: not ready");
+  std::vector<gp::GpPrediction> pred(out.size());
+  objective_gp_->predict_batch(rows, pred);
+  for (std::size_t r = 0; r < out.size(); ++r) {
+    out[r].mean = pred[r].mean;
+    out[r].variance = pred[r].variance;
+  }
   if (feasibility_gp_ && feasibility_gp_->is_fitted()) {
     // Regression on the 0/1 label; clamp the posterior mean into a
     // probability. Cheap and well-behaved for spatially coherent failures.
-    const gp::GpPrediction feas = feasibility_gp_->predict(x);
-    out.prob_feasible = std::clamp(1.0 - feas.mean, 0.02, 1.0);
+    feasibility_gp_->predict_batch(rows, pred);
+    for (std::size_t r = 0; r < out.size(); ++r) {
+      out[r].prob_feasible = std::clamp(1.0 - pred[r].mean, 0.02, 1.0);
+    }
   } else {
-    out.prob_feasible = std::clamp(feasible_fraction_, 0.02, 1.0);
+    for (SurrogateScore& s : out) {
+      s.prob_feasible = std::clamp(feasible_fraction_, 0.02, 1.0);
+    }
   }
   if (cost_gp_ && cost_gp_->is_fitted()) {
-    out.log_cost = cost_gp_->predict(x).mean;
+    cost_gp_->predict_batch(rows, pred);
+    for (std::size_t r = 0; r < out.size(); ++r) {
+      out[r].log_cost = pred[r].mean;
+    }
+  } else {
+    for (SurrogateScore& s : out) s.log_cost = 0.0;
   }
-  return out;
 }
 
 math::Vec SurrogateModel::ard_relevance() const {

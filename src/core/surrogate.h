@@ -95,8 +95,16 @@ class SurrogateModel {
   /// proposals. Cleared automatically by the next successful refit.
   bool degraded() const { return degraded_; }
 
-  /// Posterior at a configuration. Requires ready().
+  /// Posterior at a configuration: the one-row case of score_batch.
+  /// Requires ready().
   SurrogateScore score(const conf::Config& config) const;
+
+  /// Posterior at each encoded row (row-major, space().encoded_dimension()
+  /// wide, one row per entry of `out`). Every entry is bit-identical to
+  /// score() of the configuration its row encodes, whatever the batch size.
+  /// Requires ready().
+  void score_batch(std::span<const double> rows,
+                   std::span<SurrogateScore> out) const;
 
   /// Best (lowest) observed log objective. Requires ready().
   double incumbent_log() const { return incumbent_log_; }

@@ -1,6 +1,7 @@
 #include "gp/gp.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -311,22 +312,67 @@ void GaussianProcess::fit(const math::Matrix& x, std::span<const double> y,
 }
 
 GpPrediction GaussianProcess::predict(std::span<const double> x) const {
-  if (!factor_) throw std::logic_error("GaussianProcess: predict before fit");
-  math::check_finite(x, "GP prediction input");
-  const std::size_t n = targets_std_.size();
-  math::Vec k_star(n);
-  for (std::size_t i = 0; i < n; ++i) k_star[i] = kernel_->eval(x_.row(i), x);
-  math::check_finite(k_star, "GP cross-covariance");
-
-  const double mean_std = math::dot(k_star, alpha_);
-  const math::Vec v = factor_->solve_lower(k_star);
-  const double k_xx = kernel_->eval(x, x);
-  const double var_std = std::max(0.0, k_xx - math::dot(v, v));
-
   GpPrediction out;
-  out.mean = mean_std * y_scale_ + y_mean_;
-  out.variance = var_std * y_scale_ * y_scale_;
+  predict_batch(x, std::span(&out, 1));
   return out;
+}
+
+void GaussianProcess::predict_batch(std::span<const double> rows,
+                                    std::span<GpPrediction> out) const {
+  if (!factor_) throw std::logic_error("GaussianProcess: predict before fit");
+  const std::size_t dim = kernel_->input_dim();
+  if (rows.size() != out.size() * dim)
+    throw std::invalid_argument("GaussianProcess: predict_batch size mismatch");
+  math::check_finite(rows, "GP prediction input");
+  const std::size_t n = targets_std_.size();
+  const math::Matrix& lower = factor_->lower;
+  // Block scratch, candidate-minor: kv[i * bs + b] first holds k(x_i, row
+  // b), then the forward-substitution solution v_i for that row.
+  std::vector<double> kv(n * std::min(out.size(), kPredictBlock));
+  std::array<double, kPredictBlock> mean_std{};
+  std::array<double, kPredictBlock> vv{};
+  for (std::size_t begin = 0; begin < out.size(); begin += kPredictBlock) {
+    const std::size_t bs = std::min(kPredictBlock, out.size() - begin);
+    const auto row = [&](std::size_t b) {
+      return rows.subspan((begin + b) * dim, dim);
+    };
+    std::fill_n(mean_std.begin(), bs, 0.0);
+    std::fill_n(vv.begin(), bs, 0.0);
+    // Cross-covariance, and mean = k* . alpha summed in training order.
+    for (std::size_t i = 0; i < n; ++i) {
+      double* ki = kv.data() + i * bs;
+      for (std::size_t b = 0; b < bs; ++b) {
+        ki[b] = kernel_->eval(x_.row(i), row(b));
+      }
+      math::check_finite(std::span<const double>(ki, bs),
+                         "GP cross-covariance");
+      const double a = alpha_[i];
+      for (std::size_t b = 0; b < bs; ++b) mean_std[b] += ki[b] * a;
+    }
+    // L v = k*, in place: row i subtracts L(i, j) v_j for j = 0..i-1 in
+    // order, then divides by L(i, i), as solve_lower does per candidate;
+    // v . v accumulates in the same index order.
+    for (std::size_t i = 0; i < n; ++i) {
+      double* vi = kv.data() + i * bs;
+      const std::span<const double> li = lower.row(i);
+      for (std::size_t j = 0; j < i; ++j) {
+        const double lij = li[j];
+        const double* vj = kv.data() + j * bs;
+        for (std::size_t b = 0; b < bs; ++b) vi[b] -= lij * vj[b];
+      }
+      const double lii = li[i];
+      for (std::size_t b = 0; b < bs; ++b) {
+        vi[b] /= lii;
+        vv[b] += vi[b] * vi[b];
+      }
+    }
+    for (std::size_t b = 0; b < bs; ++b) {
+      const double k_xx = kernel_->eval(row(b), row(b));
+      const double var_std = std::max(0.0, k_xx - vv[b]);
+      out[begin + b].mean = mean_std[b] * y_scale_ + y_mean_;
+      out[begin + b].variance = var_std * y_scale_ * y_scale_;
+    }
+  }
 }
 
 double GaussianProcess::log_marginal_likelihood() const {

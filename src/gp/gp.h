@@ -37,6 +37,12 @@ struct GpOptions {
   double initial_noise = 1e-2;
 };
 
+/// Candidates per block of GaussianProcess::predict_batch. A block's
+/// scratch is n x kPredictBlock doubles (100 KiB at n = 200), so scoring a
+/// pool of any size keeps the cross-covariances cache-resident and the
+/// memory bounded; fixed, not an option, because no result depends on it.
+inline constexpr std::size_t kPredictBlock = 64;
+
 class GaussianProcess final : public Regressor {
  public:
   GaussianProcess(std::unique_ptr<Kernel> kernel, GpOptions options = {});
@@ -67,7 +73,19 @@ class GaussianProcess final : public Regressor {
   bool is_fitted() const override { return factor_.has_value(); }
   std::size_t num_points() const override { return targets_raw_.size(); }
 
+  /// The one-row case of predict_batch.
   GpPrediction predict(std::span<const double> x) const override;
+
+  /// Scores the rows in blocks of kPredictBlock. Per block: the
+  /// cross-covariance against every training row, one multi-right-hand-side
+  /// forward substitution through the Cholesky factor, then mean and
+  /// variance, all in one reused scratch. Work is vectorized across the
+  /// block's candidates only: each candidate's kernel distances, mean dot
+  /// product, substitution and variance run in the per-point order, so its
+  /// prediction does not depend on the block or thread it lands in
+  /// (pinned against the per-point body in tests/predict_oracle_test.cpp).
+  void predict_batch(std::span<const double> rows,
+                     std::span<GpPrediction> out) const override;
 
   /// Log marginal likelihood of the current fit (standardized target units).
   double log_marginal_likelihood() const override;

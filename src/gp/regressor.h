@@ -9,13 +9,13 @@
 #pragma once
 
 #include <span>
+#include <stdexcept>
 
+#include "gp/kernel.h"
 #include "math/matrix.h"
 #include "util/rng.h"
 
 namespace autodml::gp {
-
-class Kernel;
 
 struct GpPrediction {
   double mean = 0.0;
@@ -45,6 +45,20 @@ class Regressor {
   virtual std::size_t num_points() const = 0;
 
   virtual GpPrediction predict(std::span<const double> x) const = 0;
+
+  /// predict() for every row of `rows` (row-major, kernel().input_dim()
+  /// wide, one row per entry of `out`). Each entry is bit-identical to
+  /// predict() on its row, whatever the batch size. This default predicts
+  /// row by row; the exact GP overrides it with blocked scoring.
+  virtual void predict_batch(std::span<const double> rows,
+                             std::span<GpPrediction> out) const {
+    const std::size_t dim = kernel().input_dim();
+    if (rows.size() != out.size() * dim)
+      throw std::invalid_argument("predict_batch: rows/out size mismatch");
+    for (std::size_t r = 0; r < out.size(); ++r) {
+      out[r] = predict(rows.subspan(r * dim, dim));
+    }
+  }
 
   /// Log marginal likelihood of the current fit (standardized target
   /// units; for approximate backends, of the approximate model).

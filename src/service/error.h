@@ -18,6 +18,7 @@ namespace autodml::service {
 namespace errc {
 inline constexpr const char* kBadFrame = "bad-frame";
 inline constexpr const char* kFrameTooLarge = "frame-too-large";
+inline constexpr const char* kNestingTooDeep = "nesting-too-deep";
 inline constexpr const char* kBadRequest = "bad-request";
 inline constexpr const char* kUnknownOp = "unknown-op";
 inline constexpr const char* kUnknownSession = "unknown-session";

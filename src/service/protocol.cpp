@@ -54,6 +54,8 @@ Request parse_request(std::string_view line) {
   JsonValue body(nullptr);
   try {
     body = util::parse_json(line);
+  } catch (const util::JsonDepthError& e) {
+    throw ServiceError(errc::kNestingTooDeep, e.what());
   } catch (const std::invalid_argument& e) {
     throw ServiceError(errc::kBadFrame, e.what());
   }

@@ -34,8 +34,10 @@ struct Request {
   util::JsonValue body;
 };
 
-/// Parse one frame. Throws ServiceError(bad-frame) on malformed JSON or a
-/// non-object root, ServiceError(bad-request) on a missing/ill-typed "op".
+/// Parse one frame. Throws ServiceError(nesting-too-deep) on JSON nested
+/// deeper than util::kMaxJsonDepth, ServiceError(bad-frame) on other
+/// malformed JSON or a non-object root, ServiceError(bad-request) on a
+/// missing/ill-typed "op".
 Request parse_request(std::string_view line);
 
 /// Success/failure response lines (no trailing newline). `fields` is

@@ -35,9 +35,10 @@ class Parser {
   }
 
  private:
+  template <typename Error = std::invalid_argument>
   [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("JSON parse error at offset " +
-                                std::to_string(pos_) + ": " + what);
+    throw Error("JSON parse error at offset " + std::to_string(pos_) + ": " +
+                what);
   }
 
   void skip_whitespace() {
@@ -70,8 +71,8 @@ class Parser {
       case '{':
       case '[': {
         if (++depth_ > kMaxJsonDepth)
-          fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
-               " levels");
+          fail<JsonDepthError>("nesting deeper than " +
+                               std::to_string(kMaxJsonDepth) + " levels");
         JsonValue v = peek() == '{' ? parse_object() : parse_array();
         --depth_;
         return v;

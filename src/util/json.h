@@ -9,6 +9,7 @@
 
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -67,9 +68,17 @@ class JsonValue {
 /// beyond a handful of levels.
 inline constexpr int kMaxJsonDepth = 128;
 
+/// parse_json's error for nesting deeper than kMaxJsonDepth. It is an
+/// std::invalid_argument like every other parse error, so callers that do
+/// not tell them apart need not change.
+class JsonDepthError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
 /// Parse a complete JSON document; throws std::invalid_argument with a
-/// character offset on malformed input (including trailing garbage and
-/// nesting deeper than kMaxJsonDepth).
+/// character offset on malformed input (including trailing garbage), and
+/// JsonDepthError on nesting deeper than kMaxJsonDepth.
 JsonValue parse_json(std::string_view text);
 
 /// Serialize; `indent` > 0 pretty-prints with that many spaces per level.

@@ -231,6 +231,54 @@ class CrashingBoolPair final : public ObjectiveFunction {
   conf::ConfigSpace space_;
 };
 
+TEST(AcqOptimizer, DedupKeepsTheFirstOccurrenceOfEachRow) {
+  // Two history rows, then a pool of 2-wide rows: repeats within the pool
+  // and rows equal to a history row.
+  const std::vector<double> rows = {
+      0.1, 0.2,  // history 0
+      0.3, 0.4,  // history 1
+      0.5, 0.6,  // pool 2: new
+      0.1, 0.2,  // pool 3: equals history 0
+      0.5, 0.6,  // pool 4: repeats pool 2
+      0.7, 0.8,  // pool 5: new
+      0.3, 0.4,  // pool 6: equals history 1
+      0.7, 0.8,  // pool 7: repeats pool 5
+      0.6, 0.5,  // pool 8: new (same values, other order)
+  };
+  EXPECT_EQ(unique_pool_rows(rows, 2, 2),
+            (std::vector<std::size_t>{2, 5, 8}));
+  // Without a history every first occurrence survives.
+  EXPECT_EQ(unique_pool_rows(rows, 2, 0),
+            (std::vector<std::size_t>{0, 1, 2, 5, 8}));
+  // Repeated history rows are harmless.
+  const std::vector<double> twice = {0.1, 0.1, 0.2, 0.1};
+  EXPECT_EQ(unique_pool_rows(twice, 1, 3), (std::vector<std::size_t>{}));
+  EXPECT_EQ(unique_pool_rows(twice, 1, 2), (std::vector<std::size_t>{2}));
+}
+
+TEST(AcqOptimizer, DedupTreatsSignedZerosAsEqual) {
+  // Encodings compare element-wise, as the ordered set they replaced did,
+  // so 0.0 and -0.0 are the same coordinate.
+  const std::vector<double> rows = {0.0, 1.0, -0.0, 1.0, 1.0, -0.0, 1.0, 0.0};
+  EXPECT_EQ(unique_pool_rows(rows, 2, 0), (std::vector<std::size_t>{0, 2}));
+  EXPECT_EQ(unique_pool_rows(rows, 2, 1), (std::vector<std::size_t>{2}));
+}
+
+TEST(AcqOptimizer, DedupScalesToLargePools) {
+  // Thousands of rows, every one repeated once further on: exactly the
+  // first copies survive, in generation order.
+  std::vector<double> rows;
+  for (int copy = 0; copy < 2; ++copy) {
+    for (int i = 0; i < 5000; ++i) {
+      rows.push_back(i * 0.001);
+      rows.push_back(static_cast<double>(i % 7));
+    }
+  }
+  const std::vector<std::size_t> unique = unique_pool_rows(rows, 2, 0);
+  ASSERT_EQ(unique.size(), 5000u);
+  for (std::size_t i = 0; i < unique.size(); ++i) EXPECT_EQ(unique[i], i);
+}
+
 TEST(ProposeBatch, UniformFallbackRespectsEvaluatedConfigs) {
   // Four-config discrete space, three already evaluated — all infeasible,
   // so the surrogate never becomes ready and every proposal goes through

@@ -74,6 +74,20 @@ TEST(JsonParse, NestingDepthIsBounded) {
   EXPECT_THROW(parse_json(hostile), std::invalid_argument);
 }
 
+TEST(JsonParse, DepthErrorIsTyped) {
+  // Too deep is a JsonDepthError (still an std::invalid_argument); other
+  // malformed input, however deep, is not.
+  const std::string deep(static_cast<std::size_t>(kMaxJsonDepth) + 1, '[');
+  EXPECT_THROW(parse_json(deep), JsonDepthError);
+  try {
+    parse_json(std::string(10, '[') + "1,]" + std::string(9, ']'));
+    ADD_FAILURE() << "malformed input parsed";
+  } catch (const JsonDepthError&) {
+    ADD_FAILURE() << "shallow syntax error reported as too deep";
+  } catch (const std::invalid_argument&) {
+  }
+}
+
 TEST(JsonParse, TrailingGarbageRejected) {
   EXPECT_THROW(parse_json("{} {}"), std::invalid_argument);
 }

@@ -95,19 +95,26 @@ TEST(ServiceProtocol, MalformedFramesAreTypedBadFrame) {
   expect_error(manager, R"({"op":"ping",})", errc::kBadFrame);
 }
 
-TEST(ServiceProtocol, DeeplyNestedFrameIsBadFrameAndDaemonStaysUp) {
+TEST(ServiceProtocol, DeeplyNestedFrameIsNestingTooDeepAndDaemonStaysUp) {
   // ~50 KB of '[' used to recurse the JSON parser off the end of the stack
   // and take the whole daemon (every tenant's sessions) down with it.
   SessionManager manager;
   expect_error(manager,
                R"({"op":"ping","id":1,"x":)" + std::string(50000, '['),
-               errc::kBadFrame);
-  expect_error(manager,
-               R"({"op":"ping","id":2,"x":)" +
-                   std::string(util::kMaxJsonDepth, '[') +
-                   std::string(util::kMaxJsonDepth, ']') + "}",
-               errc::kBadFrame);
-  expect_ok(manager, R"({"op":"ping","id":3})");
+               errc::kNestingTooDeep);
+  // The request object is the first level: depth 128 is served, 129 is
+  // answered with the dedicated code, not the generic bad-frame.
+  const auto nested = [](int depth, int id) {
+    const auto arrays = static_cast<std::size_t>(depth - 1);
+    return R"({"op":"ping","id":)" + std::to_string(id) + R"(,"x":)" +
+           std::string(arrays, '[') + std::string(arrays, ']') + "}";
+  };
+  expect_ok(manager, nested(util::kMaxJsonDepth, 2));
+  expect_error(manager, nested(util::kMaxJsonDepth + 1, 3),
+               errc::kNestingTooDeep);
+  // A shallow malformed frame keeps the generic code.
+  expect_error(manager, R"({"op":"ping","x":[[1,]]})", errc::kBadFrame);
+  expect_ok(manager, R"({"op":"ping","id":4})");
 }
 
 TEST(ServiceProtocol, MissingOrIllTypedFieldsAreBadRequest) {
