@@ -16,6 +16,7 @@
 //                    [--out=BENCH_async.json]
 #include <chrono>
 #include <iostream>
+#include <string_view>
 #include <thread>
 
 #include "bench_common.h"
@@ -96,6 +97,12 @@ QResult run_q(int q, int evals, double eval_ms, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
+  static constexpr std::string_view kFlags[] = {
+      "smoke", "evals", "eval-ms", "reps", "out"};
+  if (const auto error = args.unknown_flag(kFlags)) {
+    std::cerr << *error << "\n";
+    return 2;
+  }
   const bool smoke = args.get_bool("smoke", false) || args.has("smoke");
   const int evals = static_cast<int>(args.get_int("evals", smoke ? 16 : 32));
   const double eval_ms =

@@ -7,6 +7,9 @@
 // across workloads closes the table. Expected shape: autodml ~1.0-1.3x of
 // oracle with the lowest search cost among model-based methods; random/grid
 // trail; the default is several times off the oracle.
+#include <cstdio>
+#include <string_view>
+
 #include "bench_common.h"
 #include "util/arg_parse.h"
 
@@ -14,6 +17,11 @@ using namespace autodml;
 
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
+  static constexpr std::string_view kFlags[] = {"seeds", "evals", "workloads"};
+  if (const auto error = args.unknown_flag(kFlags)) {
+    std::fprintf(stderr, "%s\n", error->c_str());
+    return 2;
+  }
   const int seeds = static_cast<int>(args.get_int("seeds", 3));
   const int evals = static_cast<int>(args.get_int("evals", 30));
   const std::vector<std::string> workload_names = util::split(

@@ -5,6 +5,9 @@
 // reproduce: model-based tuners (autodml, cherrypick) reach near-oracle
 // within ~20-30 evaluations; random/grid need several times more; greedy
 // methods plateau. Series are printed at checkpoints 5,10,15,20,25,30.
+#include <cstdio>
+#include <string_view>
+
 #include "bench_common.h"
 #include "util/arg_parse.h"
 
@@ -22,6 +25,11 @@ double incumbent_at(const core::TuningResult& result, std::size_t evals) {
 
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
+  static constexpr std::string_view kFlags[] = {"seeds", "evals", "workloads"};
+  if (const auto error = args.unknown_flag(kFlags)) {
+    std::fprintf(stderr, "%s\n", error->c_str());
+    return 2;
+  }
   const int seeds = static_cast<int>(args.get_int("seeds", 3));
   const int evals = static_cast<int>(args.get_int("evals", 30));
   const std::vector<std::string> workloads =

@@ -6,6 +6,9 @@
 // feasibility model learns the violating region. Expected shape: a Pareto
 // frontier — cost rises as the deadline tightens (faster clusters must be
 // bought), until the deadline becomes infeasible outright.
+#include <cstdio>
+#include <string_view>
+
 #include "bench_common.h"
 #include "util/arg_parse.h"
 
@@ -13,6 +16,11 @@ using namespace autodml;
 
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
+  static constexpr std::string_view kFlags[] = {"seeds", "evals", "workload"};
+  if (const auto error = args.unknown_flag(kFlags)) {
+    std::fprintf(stderr, "%s\n", error->c_str());
+    return 2;
+  }
   const int seeds = static_cast<int>(args.get_int("seeds", 3));
   const int evals = static_cast<int>(args.get_int("evals", 25));
   const std::string workload_name = args.get("workload", "logreg-ads");

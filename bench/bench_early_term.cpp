@@ -6,6 +6,9 @@
 // the fraction of runs that were killed early, and the cost saving. The
 // claim to reproduce: killing hopeless runs cuts search cost substantially
 // (tens of percent) at equal final quality.
+#include <cstdio>
+#include <string_view>
+
 #include "bench_common.h"
 #include "util/arg_parse.h"
 
@@ -13,6 +16,11 @@ using namespace autodml;
 
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
+  static constexpr std::string_view kFlags[] = {"seeds", "evals", "workloads"};
+  if (const auto error = args.unknown_flag(kFlags)) {
+    std::fprintf(stderr, "%s\n", error->c_str());
+    return 2;
+  }
   const int seeds = static_cast<int>(args.get_int("seeds", 3));
   const int evals = static_cast<int>(args.get_int("evals", 30));
   const std::vector<std::string> workloads = util::split(

@@ -10,6 +10,9 @@
 // recovers most of the quality at a modest extra search cost, and the
 // feasibility surrogate stays clean because transient failures are excluded
 // from it.
+#include <cstdio>
+#include <string_view>
+
 #include "bench_common.h"
 #include "util/arg_parse.h"
 #include "workloads/eval_supervisor.h"
@@ -34,6 +37,11 @@ struct CellStats {
 
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
+  static constexpr std::string_view kFlags[] = {"seeds", "evals", "workload"};
+  if (const auto error = args.unknown_flag(kFlags)) {
+    std::fprintf(stderr, "%s\n", error->c_str());
+    return 2;
+  }
   const int seeds = static_cast<int>(args.get_int("seeds", 3));
   const int evals = static_cast<int>(args.get_int("evals", 25));
   const std::string workload_name = args.get("workload", "mlp-tabular");

@@ -8,28 +8,24 @@
 //       incremental update a non-hyperopt round takes (n <= 512);
 //   (b) the scalar against the cache-blocked Cholesky factorization on the
 //       kernel Gram matrix (all n, up to 4096);
-//   (c) the exact GP's per-trial refit against the RFF backend's
-//       O(nm + m^3) append — the large-n path SurrogateModel switches to —
-//       plus the RFF posterior-mean error vs exact on held-out probes;
-//   (d) per-trial hyperopt against the every-k + evidence-triggered refit
+//   (c) per-trial hyperopt against the every-k + evidence-triggered refit
 //       schedule, at n = 256;
-//   (e) serial against thread-pool acquisition scoring (n <= 1024),
+//   (d) serial against thread-pool acquisition scoring (n <= 1024),
 //       asserting the parallel proposal is identical to the serial one;
-//   (f) one negative-LML evaluation, value + gradient, at a fresh theta
-//       (n <= 1024, the exact path's range), and for n <= 256 whether
+//   (e) one negative-LML evaluation, value + gradient, at a fresh theta
+//       (n <= 1024), and for n <= 256 whether
 //       -negative_lml(fitted theta) reproduces log_marginal_likelihood()
 //       bit for bit after a short hyperparameter fit;
-//   (g) one full default GaussianProcess::fit (three L-BFGS starts) at
+//   (f) one full default GaussianProcess::fit (three L-BFGS starts) at
 //       n = 16, 64 and 256: wall time and negative-LML evaluations.
 // Results land in BENCH_inner_loop.json to extend the repo's performance
 // trajectory; CI runs `--smoke` and uploads the file as an artifact.
 // Non-zero exit when the parallel proposal diverges, the fitted LML
-// disagrees with the LML pass, a default fit spends more than
-// kMaxHyperoptEvals LML evaluations, or the RFF accuracy gate fails.
+// disagrees with the LML pass, or a default fit spends more than
+// kMaxHyperoptEvals LML evaluations.
 //
 // Usage: bench_inner_loop [--smoke] [--out=BENCH_inner_loop.json]
-//                         [--reps=N] [--threads=K] [--rff-features=M]
-//                         [--candidates=C]
+//                         [--reps=N] [--threads=K] [--candidates=C]
 // Any other flag exits 2 with "unknown flag --NAME (did you mean ...?)".
 #include <algorithm>
 #include <cmath>
@@ -47,7 +43,6 @@
 #include "core/tuner_types.h"
 #include "gp/gp.h"
 #include "gp/kernel.h"
-#include "gp/rff.h"
 #include "math/cholesky.h"
 #include "obs/metrics.h"
 #include "util/arg_parse.h"
@@ -55,7 +50,6 @@
 #include "util/fs.h"
 #include "util/json.h"
 #include "util/rng.h"
-#include "util/stats.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -65,19 +59,6 @@ using namespace autodml;
 namespace {
 
 constexpr std::size_t kDim = 6;
-
-/// RFF posterior-mean error gates (mean over 16 held-out probes per size),
-/// standardized target units. The bench response is deterministic and the
-/// GP noise tiny, so the exact posterior nearly interpolates while the
-/// m-feature model carries an irreducible basis-approximation floor:
-/// measured per-size means run 0.16-0.69 at m=256 across n=16-4096, flat
-/// in n. The gates sit just above that observed band — mean across sizes
-/// under 0.55, no single size past 0.9 — because broken spectral math
-/// (wrong measure, sign flip, bad solve) diverges by multiple std units
-/// at every size, while the legitimate floor only brushes the per-size
-/// cap on unlucky probe draws.
-constexpr double kRffMeanErrGate = 0.55;
-constexpr double kRffSizeErrGate = 0.9;
 
 /// Ceiling on negative-LML evaluations for one default fit (three L-BFGS
 /// starts of at most GpOptions::max_iterations steps). This bench's fits
@@ -133,7 +114,6 @@ core::SurrogateOptions fixed_hyper_options() {
   core::SurrogateOptions options;
   options.hyperopt_every = 1 << 20;
   options.refit_nlml_degradation = 0.0;
-  options.backend = core::SurrogateBackend::kExact;
   options.gp.optimize_hyperparams = false;
   return options;
 }
@@ -162,10 +142,6 @@ struct SizeResult {
   double chol_scalar_ms = 0.0;
   double chol_blocked_ms = 0.0;
   double chol_max_diff = 0.0;
-  // RFF backend: full feature solve, per-trial append, accuracy vs exact.
-  double rff_fit_ms = 0.0;
-  double rff_append_ms = 0.0;
-  double rff_mean_err_std = 0.0;
   // Negative LML value + gradient at a fresh theta; fitted-LML identity.
   bool lml_measured = false;
   double lml_ms = 0.0;
@@ -232,7 +208,7 @@ void measure_hyperopt(const math::Matrix& x, std::span<const double> y,
   out.hyperopt_evals = registry.counter("gp.lml_evals").value();
 }
 
-SizeResult measure(std::size_t n, int reps, int candidates, int rff_features,
+SizeResult measure(std::size_t n, int reps, int candidates,
                    util::ThreadPool& pool) {
   const conf::ConfigSpace space = make_space();
   const std::vector<core::Trial> history =
@@ -339,58 +315,6 @@ SizeResult measure(std::size_t n, int reps, int candidates, int rff_features,
     }
   }
 
-  // ---- RFF backend: feature solve, per-trial append, accuracy ----
-  {
-    gp::RffOptions rff_options;
-    rff_options.num_features = rff_features;
-    rff_options.gp.optimize_hyperparams = false;
-    gp::RffRegressor rff(std::make_unique<gp::Matern52Ard>(kDim), rff_options,
-                         42);
-    std::vector<double> fit_ms;
-    for (int r = 0; r < reps; ++r) {
-      util::Stopwatch watch;
-      rff.refit(x, y);
-      fit_ms.push_back(watch.elapsed_ms());
-    }
-    out.rff_fit_ms = mean_ms(fit_ms);
-
-    // Accuracy vs the exact GP at the same (default) hyperparameters,
-    // before the appends below mutate the model: held-out probes, error in
-    // standardized target units.
-    {
-      gp::GpOptions gp_options;
-      gp_options.optimize_hyperparams = false;
-      gp::GaussianProcess exact(std::make_unique<gp::Matern52Ard>(kDim),
-                                gp_options);
-      exact.refit(x, y);
-      const double sd = util::stddev(y);
-      const double y_scale = sd > 1e-12 ? sd : 1.0;
-      util::Rng probe_rng(7);
-      double err_sum = 0.0;
-      constexpr int kProbes = 16;
-      for (int p = 0; p < kProbes; ++p) {
-        math::Vec probe(kDim);
-        for (std::size_t d = 0; d < kDim; ++d) probe[d] = probe_rng.uniform();
-        err_sum += std::abs(rff.predict(probe).mean -
-                            exact.predict(probe).mean) /
-                   y_scale;
-      }
-      out.rff_mean_err_std = err_sum / kProbes;
-    }
-
-    std::vector<double> append_ms;
-    for (int r = 0; r < reps; ++r) {
-      const math::Vec x_new =
-          space.encode(history[n + static_cast<std::size_t>(r)].config);
-      const double y_new = std::log(
-          history[n + static_cast<std::size_t>(r)].outcome.objective);
-      util::Stopwatch watch;
-      rff.append_observation(x_new, y_new);
-      append_ms.push_back(watch.elapsed_ms());
-    }
-    out.rff_append_ms = mean_ms(append_ms);
-  }
-
   // ---- negative LML: value + gradient, fitted-theta identity ----
   if (n <= 1024) {
     out.lml_measured = true;
@@ -443,7 +367,6 @@ double measure_policy_ms(const conf::ConfigSpace& space,
                          const std::vector<core::Trial>& history,
                          bool scheduled) {
   core::SurrogateOptions options;
-  options.backend = core::SurrogateBackend::kExact;
   options.gp.optimize_hyperparams = true;
   options.gp.restarts = 0;
   options.gp.max_iterations = 15;
@@ -467,7 +390,7 @@ double measure_policy_ms(const conf::ConfigSpace& space,
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
   static constexpr std::string_view kFlags[] = {
-      "smoke", "reps", "candidates", "rff-features", "threads", "out"};
+      "smoke", "reps", "candidates", "threads", "out"};
   if (const auto error = args.unknown_flag(kFlags)) {
     std::cerr << *error << "\n";
     return 2;
@@ -476,8 +399,6 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(args.get_int("reps", smoke ? 3 : 8));
   const int candidates =
       static_cast<int>(args.get_int("candidates", smoke ? 256 : 512));
-  const int rff_features =
-      static_cast<int>(args.get_int("rff-features", 256));
   const std::size_t threads = static_cast<std::size_t>(args.get_int(
       "threads",
       std::max(2u, std::thread::hardware_concurrency())));
@@ -492,17 +413,13 @@ int main(int argc, char** argv) {
   bool all_identical = true;
   bool lml_identical = true;
   std::int64_t max_hyperopt_evals = 0;
-  bool accuracy_ok = true;
-  double err_sum = 0.0;
   util::JsonArray rows;
   std::vector<std::vector<std::string>> table;
   for (std::size_t n : sizes) {
-    const SizeResult r = measure(n, reps, candidates, rff_features, pool);
+    const SizeResult r = measure(n, reps, candidates, pool);
     all_identical = all_identical && r.propose_identical;
     lml_identical = lml_identical && r.lml_identical;
     max_hyperopt_evals = std::max(max_hyperopt_evals, r.hyperopt_evals);
-    err_sum += r.rff_mean_err_std;
-    if (r.rff_mean_err_std > kRffSizeErrGate) accuracy_ok = false;
     const double surrogate_speedup =
         r.surrogate_incr_ms > 0.0 ? r.surrogate_full_ms / r.surrogate_incr_ms
                                   : 0.0;
@@ -510,10 +427,6 @@ int main(int argc, char** argv) {
         r.gp_append_ms > 0.0 ? r.gp_refit_ms / r.gp_append_ms : 0.0;
     const double chol_speedup =
         r.chol_blocked_ms > 0.0 ? r.chol_scalar_ms / r.chol_blocked_ms : 0.0;
-    // Per-trial refit cost if hyperparameters must be re-applied: exact
-    // O(n^3) refactorization vs the RFF backend's O(nm + m^3) append.
-    const double rff_refit_speedup =
-        r.rff_append_ms > 0.0 ? r.gp_refit_ms / r.rff_append_ms : 0.0;
     util::JsonObject row;
     row["n"] = static_cast<double>(r.n);
     if (r.legacy_measured) {
@@ -528,10 +441,6 @@ int main(int argc, char** argv) {
     row["chol_blocked_ms"] = r.chol_blocked_ms;
     row["chol_speedup"] = chol_speedup;
     row["chol_max_diff"] = r.chol_max_diff;
-    row["rff_fit_ms"] = r.rff_fit_ms;
-    row["rff_append_ms"] = r.rff_append_ms;
-    row["rff_refit_speedup"] = rff_refit_speedup;
-    row["rff_mean_err_std"] = r.rff_mean_err_std;
     if (r.lml_measured) row["lml_ms"] = r.lml_ms;
     if (r.lml_checked) row["lml_identical"] = r.lml_identical;
     if (r.hyperopt_measured) {
@@ -551,9 +460,6 @@ int main(int argc, char** argv) {
                      util::fmt(r.chol_scalar_ms, 3),
                      util::fmt(r.chol_blocked_ms, 3),
                      util::fmt(chol_speedup, 3),
-                     util::fmt(r.rff_append_ms, 3),
-                     util::fmt(rff_refit_speedup, 3),
-                     util::fmt(r.rff_mean_err_std, 3),
                      r.lml_measured ? util::fmt(r.lml_ms, 3) : "-",
                      r.lml_checked ? (r.lml_identical ? "yes" : "NO") : "-",
                      r.hyperopt_measured ? util::fmt(r.hyperopt_ms, 3) : "-",
@@ -579,11 +485,11 @@ int main(int argc, char** argv) {
   const std::vector<std::string> header = {
       "n",        "gp_full_ms", "gp_incr_ms", "gp_x",
       "chol_scalar_ms", "chol_blocked_ms", "chol_x",
-      "rff_incr_ms", "rff_x", "rff_err_std", "lml_ms", "lml_identical",
+      "lml_ms", "lml_identical",
       "hyperopt_ms", "hyperopt_evals", "identical"};
   std::cout << "\n=== R-P11: BO inner-loop latency (reps=" << reps
             << ", threads=" << threads << ", candidates=" << candidates
-            << ", rff_features=" << rff_features << ") ===\n"
+            << ") ===\n"
             << util::render_table(header, table);
   std::cout << "csv," << util::join(header, ",") << "\n";
   for (const auto& row : table)
@@ -599,7 +505,6 @@ int main(int argc, char** argv) {
   doc["reps"] = reps;
   doc["acq_threads"] = static_cast<double>(threads);
   doc["candidates"] = candidates;
-  doc["rff_features"] = rff_features;
   doc["policy_per_trial_hyperopt_ms"] = policy_per_trial_ms;
   doc["policy_scheduled_refit_ms"] = policy_scheduled_ms;
   doc["policy_speedup"] = policy_speedup;
@@ -620,14 +525,6 @@ int main(int argc, char** argv) {
     std::cerr << "FAIL: a default hyperparameter fit spent "
               << max_hyperopt_evals << " LML evaluations (bound "
               << kMaxHyperoptEvals << ")\n";
-    return 1;
-  }
-  const double err_mean = err_sum / static_cast<double>(sizes.size());
-  if (err_mean > kRffMeanErrGate) accuracy_ok = false;
-  if (!accuracy_ok) {
-    std::cerr << "FAIL: RFF posterior mean error out of tolerance (mean "
-              << err_mean << " vs " << kRffMeanErrGate
-              << " std units, per-size cap " << kRffSizeErrGate << ")\n";
     return 1;
   }
   return 0;

@@ -7,6 +7,9 @@
 // the speedup left on the table by the default. The paper-typical claim
 // this reproduces: the config space spans an order of magnitude or more,
 // so automatic tuning has real headroom.
+#include <cstdio>
+#include <string_view>
+
 #include "bench_common.h"
 #include "util/arg_parse.h"
 
@@ -14,6 +17,11 @@ using namespace autodml;
 
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
+  static constexpr std::string_view kFlags[] = {"sweep"};
+  if (const auto error = args.unknown_flag(kFlags)) {
+    std::fprintf(stderr, "%s\n", error->c_str());
+    return 2;
+  }
   const auto sweep = static_cast<std::size_t>(args.get_int("sweep", 250));
 
   std::vector<std::vector<std::string>> rows(wl::workload_suite().size());

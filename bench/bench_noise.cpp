@@ -6,6 +6,9 @@
 // search at the same budget. Expected shape: both degrade as noise grows,
 // but the model-based tuner degrades gracefully — the GP's noise estimate
 // keeps it from chasing lucky draws — so its margin over random persists.
+#include <cstdio>
+#include <string_view>
+
 #include "bench_common.h"
 #include "util/arg_parse.h"
 
@@ -13,6 +16,11 @@ using namespace autodml;
 
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
+  static constexpr std::string_view kFlags[] = {"seeds", "evals", "workload"};
+  if (const auto error = args.unknown_flag(kFlags)) {
+    std::fprintf(stderr, "%s\n", error->c_str());
+    return 2;
+  }
   const int seeds = static_cast<int>(args.get_int("seeds", 3));
   const int evals = static_cast<int>(args.get_int("evals", 25));
   const std::string workload_name = args.get("workload", "mlp-tabular");

@@ -8,6 +8,9 @@
 // ~q-fold while final quality degrades only mildly (fantasies lose some
 // sequential information). Rounds remain straggler-bound; bench_async
 // (R-A14) measures the asynchronous pipeline that removes the barrier.
+#include <cstdio>
+#include <string_view>
+
 #include "baselines/parallel_bo.h"
 #include "bench_common.h"
 #include "util/arg_parse.h"
@@ -16,6 +19,11 @@ using namespace autodml;
 
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
+  static constexpr std::string_view kFlags[] = {"seeds", "evals", "workload"};
+  if (const auto error = args.unknown_flag(kFlags)) {
+    std::fprintf(stderr, "%s\n", error->c_str());
+    return 2;
+  }
   const int seeds = static_cast<int>(args.get_int("seeds", 3));
   const int total_evals = static_cast<int>(args.get_int("evals", 24));
   const std::string workload_name = args.get("workload", "mlp-tabular");

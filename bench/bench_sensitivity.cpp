@@ -5,6 +5,9 @@
 // communication knobs (servers, compression, arch) dominate for the
 // embedding-heavy workloads (mf-recsys, word2vec-text); batch/learning-rate
 // and instance type dominate for the compute-heavy ones (cnn, resnet).
+#include <cstdio>
+#include <string_view>
+
 #include "bench_common.h"
 #include "core/sensitivity.h"
 #include "util/arg_parse.h"
@@ -13,6 +16,11 @@ using namespace autodml;
 
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
+  static constexpr std::string_view kFlags[] = {"evals"};
+  if (const auto error = args.unknown_flag(kFlags)) {
+    std::fprintf(stderr, "%s\n", error->c_str());
+    return 2;
+  }
   const int evals = static_cast<int>(args.get_int("evals", 40));
 
   const auto& suite = wl::workload_suite();

@@ -6,6 +6,9 @@
 // stragglers (no barrier), SSP covers the middle band — the reason the
 // sync knob exists at all and a direct check that the simulator + the
 // statistical model interact correctly.
+#include <cstdio>
+#include <string_view>
+
 #include "bench_common.h"
 #include "ml/convergence.h"
 #include "sim/ps_runtime.h"
@@ -62,6 +65,11 @@ double tta_hours(sim::SyncMode mode, int ssp_bound, double straggler_sigma,
 
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
+  static constexpr std::string_view kFlags[] = {"workload"};
+  if (const auto error = args.unknown_flag(kFlags)) {
+    std::fprintf(stderr, "%s\n", error->c_str());
+    return 2;
+  }
   const std::string workload_name = args.get("workload", "mlp-tabular");
   const wl::Workload& workload = wl::workload_by_name(workload_name);
 

@@ -6,7 +6,9 @@
 // evaluations-to-1.3x-oracle, cold vs warm. Expected shape: transfer from a
 // *related* workload (cnn -> resnet) cuts the evaluations needed; transfer
 // from an unrelated one (word2vec -> resnet) helps less or not at all.
+#include <cstdio>
 #include <optional>
+#include <string_view>
 
 #include "bench_common.h"
 #include "util/arg_parse.h"
@@ -36,6 +38,12 @@ std::vector<core::Trial> remap_trials(const std::vector<core::Trial>& source,
 
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
+  static constexpr std::string_view kFlags[] = {
+      "seeds", "pilot_evals", "evals", "target", "sources"};
+  if (const auto error = args.unknown_flag(kFlags)) {
+    std::fprintf(stderr, "%s\n", error->c_str());
+    return 2;
+  }
   const int seeds = static_cast<int>(args.get_int("seeds", 3));
   const int pilot_evals = static_cast<int>(args.get_int("pilot_evals", 25));
   const int evals = static_cast<int>(args.get_int("evals", 12));

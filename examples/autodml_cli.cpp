@@ -14,8 +14,7 @@
 //              [--no-early-term] [--session=FILE] [--resume=FILE]
 //              [--journal=FILE] [--faults=off|light|heavy] [--retries=N]
 //              [--demo] [--trace=FILE] [--metrics=FILE]
-//              [--refit-every=K] [--surrogate-backend=auto|exact|rff]
-//              [--rff-features=M] [--max-wall-time=SECONDS]
+//              [--refit-every=K] [--max-wall-time=SECONDS]
 //              [--async-q=Q] [--async-workers=W]
 //              [--crash-point=NAME[:K]] [--crash-after=N]
 //                                  run the tuner; optionally persist/resume.
@@ -335,28 +334,11 @@ int cmd_tune(const wl::Workload& workload, const util::ArgParser& args) {
       core::acquisition_from_string(args.get("acquisition", "logei"));
   options.early_term.enabled = !args.get_bool("no-early-term", false);
   options.journal_path = args.get("journal", "");
-  // Surrogate scaling knobs (see DESIGN.md §6h): hyperopt cadence and the
-  // regression backend serving the GPs.
+  // Surrogate hyperopt cadence (see DESIGN.md §6h).
   options.surrogate.hyperopt_every = static_cast<int>(
       args.get_int("refit-every", options.surrogate.hyperopt_every));
   if (options.surrogate.hyperopt_every < 1) {
     std::fprintf(stderr, "--refit-every must be >= 1\n");
-    return 1;
-  }
-  const std::string backend_name = args.get("surrogate-backend", "auto");
-  if (backend_name == "exact") {
-    options.surrogate.backend = core::SurrogateBackend::kExact;
-  } else if (backend_name == "rff") {
-    options.surrogate.backend = core::SurrogateBackend::kRff;
-  } else if (backend_name != "auto") {
-    std::fprintf(stderr, "unknown --surrogate-backend=%s (auto|exact|rff)\n",
-                 backend_name.c_str());
-    return 1;
-  }
-  options.surrogate.rff_features = static_cast<int>(
-      args.get_int("rff-features", options.surrogate.rff_features));
-  if (options.surrogate.rff_features < 1) {
-    std::fprintf(stderr, "--rff-features must be >= 1\n");
     return 1;
   }
   if (args.has("max-wall-time")) {
@@ -548,9 +530,8 @@ const std::map<std::string_view, std::vector<std::string_view>>& known_flags() {
            {"workload", "demo", "evals", "seed", "objective",
             "deadline-hours", "acquisition", "no-early-term", "session",
             "resume", "journal", "faults", "retries", "trace", "metrics",
-            "refit-every", "surrogate-backend", "rff-features",
-            "max-wall-time", "async-q", "async-workers", "crash-point",
-            "crash-after"}},
+            "refit-every", "max-wall-time", "async-q", "async-workers",
+            "crash-point", "crash-after"}},
           {"importance", {"workload", "demo", "evals", "seed"}},
           {"serve",
            {"stdio", "socket", "workers", "conn-threads", "max-sessions",

@@ -4,6 +4,7 @@
 //
 //   ./compare_baselines [--workload=mlp-tabular] [--evals=25] [--seed=11]
 #include <cstdio>
+#include <string_view>
 
 #include "baselines/baseline_tuners.h"
 #include "util/arg_parse.h"
@@ -15,6 +16,11 @@ using namespace autodml;
 
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
+  static constexpr std::string_view kFlags[] = {"workload", "evals", "seed"};
+  if (const auto error = args.unknown_flag(kFlags)) {
+    std::fprintf(stderr, "%s\n", error->c_str());
+    return 2;
+  }
   const std::string name = args.get("workload", "mlp-tabular");
   const int evals = static_cast<int>(args.get_int("evals", 25));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 11));

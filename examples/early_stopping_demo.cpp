@@ -6,6 +6,7 @@
 //   ./early_stopping_demo [--workload=mlp-tabular]
 #include <cmath>
 #include <cstdio>
+#include <string_view>
 
 #include "core/early_termination.h"
 #include "util/arg_parse.h"
@@ -64,6 +65,11 @@ void stream_run(wl::Evaluator& evaluator, const conf::Config& config,
 
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
+  static constexpr std::string_view kFlags[] = {"workload"};
+  if (const auto error = args.unknown_flag(kFlags)) {
+    std::fprintf(stderr, "%s\n", error->c_str());
+    return 2;
+  }
   const wl::Workload& workload =
       wl::workload_by_name(args.get("workload", "mlp-tabular"));
   wl::Evaluator evaluator(workload, 5);

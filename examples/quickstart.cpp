@@ -6,6 +6,7 @@
 // wrap it in the tuner's objective interface, run Bayesian optimization,
 // and compare the tuned configuration against the hand default.
 #include <cstdio>
+#include <string_view>
 
 #include "baselines/baseline_tuners.h"
 #include "core/bo_tuner.h"
@@ -17,6 +18,11 @@ using namespace autodml;
 
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
+  static constexpr std::string_view kFlags[] = {"workload", "evals", "seed"};
+  if (const auto error = args.unknown_flag(kFlags)) {
+    std::fprintf(stderr, "%s\n", error->c_str());
+    return 2;
+  }
   const std::string workload_name = args.get("workload", "logreg-ads");
   const int evals = static_cast<int>(args.get_int("evals", 25));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));

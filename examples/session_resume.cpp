@@ -17,6 +17,7 @@
 //                    [--session=FILE] [--journal=FILE]
 #include <cstdio>
 #include <exception>
+#include <string_view>
 
 #include "core/bo_tuner.h"
 #include "core/session_io.h"
@@ -115,8 +116,15 @@ int run(const util::ArgParser& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const util::ArgParser args(argc, argv);
+  static constexpr std::string_view kFlags[] = {"workload", "phase1", "phase2",
+                                                "session", "journal"};
+  if (const auto error = args.unknown_flag(kFlags)) {
+    std::fprintf(stderr, "%s\n", error->c_str());
+    return 2;
+  }
   try {
-    return run(util::ArgParser(argc, argv));
+    return run(args);
   } catch (const std::exception& e) {
     // Unreadable/corrupt session or journal files land here with the path
     // and record context in the message.

@@ -5,6 +5,7 @@
 //
 //   ./tune_resnet_cluster [--workload=resnet-imagenet] [--evals=25] [--seed=3]
 #include <cstdio>
+#include <string_view>
 
 #include "core/bo_tuner.h"
 #include "core/sensitivity.h"
@@ -50,6 +51,11 @@ void describe(const char* label, const TunedOutcome& outcome) {
 
 int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
+  static constexpr std::string_view kFlags[] = {"workload", "evals", "seed"};
+  if (const auto error = args.unknown_flag(kFlags)) {
+    std::fprintf(stderr, "%s\n", error->c_str());
+    return 2;
+  }
   const std::string name = args.get("workload", "resnet-imagenet");
   const int evals = static_cast<int>(args.get_int("evals", 25));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 3));

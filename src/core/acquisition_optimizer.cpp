@@ -176,8 +176,8 @@ std::optional<conf::Config> propose_candidate(
   return std::move(candidates[*best]);
 }
 
-Trial make_fantasy_trial(const SurrogateModel& model,
-                         const conf::Config& config) {
+Trial make_fantasy_trial(const conf::Config& config,
+                         double posterior_log_mean) {
   Trial fantasy;
   fantasy.config = config;
   fantasy.fantasized = true;
@@ -186,12 +186,12 @@ Trial make_fantasy_trial(const SurrogateModel& model,
   // routes fantasized trials into the objective posterior only.
   fantasy.outcome.feasible = true;
   fantasy.outcome.spent_seconds = 0.0;
-  if (model.ready()) {
+  if (!std::isnan(posterior_log_mean)) {
     // Kriging believer: believe the posterior mean at the pending point.
-    fantasy.outcome.objective = std::exp(model.score(config).mean);
+    fantasy.outcome.objective = std::exp(posterior_log_mean);
     ADML_COUNT("acq.fantasized", 1);
   }
-  // Model not ready: objective stays +infinity — no belief to condition
+  // No posterior mean: objective stays +infinity — no belief to condition
   // on, the fantasy only dedups the pending configuration. (The previous
   // constant-liar code fabricated an arbitrary `objective = 1.0` here.)
   return fantasy;

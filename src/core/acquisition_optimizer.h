@@ -61,13 +61,14 @@ std::vector<std::size_t> unique_pool_rows(std::span<const double> rows,
                                           std::size_t first_pool_row);
 
 /// Kriging-believer fantasy for a pending evaluation at `config`: a tagged
-/// placeholder trial whose objective is the model's posterior mean there
-/// (the "believer" step of Ginsbourger's kriging believer), or +infinity —
-/// no belief at all, the trial only contributes dedup pressure — when the
-/// model is not ready. The trial carries `fantasized = true`, which
+/// placeholder trial whose objective is exp(`posterior_log_mean`), the
+/// surrogate's posterior mean of log objective there (the "believer" step
+/// of Ginsbourger's kriging believer), or +infinity — no belief at all, the
+/// trial only contributes dedup pressure — when `posterior_log_mean` is NaN
+/// because no model was ready. The trial carries `fantasized = true`, which
 /// excludes it from feasibility/cost training, incumbent updates, and
 /// neighborhood seeding (see SurrogateModel::update and Trial::succeeded).
-Trial make_fantasy_trial(const SurrogateModel& model,
-                         const conf::Config& config);
+Trial make_fantasy_trial(const conf::Config& config,
+                         double posterior_log_mean);
 
 }  // namespace autodml::core

@@ -205,8 +205,8 @@ struct BoTuner::Proposal {
   SessionAsk ask;
   Trial fantasy;
   /// Objective posterior (log objective) at the proposal, when a model was
-  /// ready at ask time; feeds the surrogate.residual_z calibration
-  /// histogram at ingest. NaN otherwise.
+  /// ready at ask time; the mean is the fantasy's belief, and both feed the
+  /// surrogate.residual_z calibration histogram at ingest. NaN otherwise.
   double posterior_mean = std::numeric_limits<double>::quiet_NaN();
   double posterior_sd = std::numeric_limits<double>::quiet_NaN();
 };
@@ -330,7 +330,9 @@ std::optional<BoTuner::SessionAsk> BoTuner::ask() {
       p.posterior_sd = std::sqrt(prior.variance);
     }
   }
-  if (!s.inline_depth_one) p.fantasy = make_fantasy_trial(*model, p.ask.config);
+  if (!s.inline_depth_one) {
+    p.fantasy = make_fantasy_trial(p.ask.config, p.posterior_mean);
+  }
   ++s.next_index;
   if (replay_cursor_ < replay_.size()) {
     // Journal record i is ticket i's result. Consuming it here, at ask

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string_view>
 
-#include "gp/rff.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/chaos.h"
@@ -20,16 +18,6 @@ std::unique_ptr<gp::GaussianProcess> make_gp(std::size_t dim,
       std::make_unique<gp::Matern52Ard>(dim), options);
 }
 
-std::unique_ptr<gp::RffRegressor> make_rff(std::size_t dim,
-                                           const SurrogateOptions& options,
-                                           std::uint64_t feature_seed) {
-  gp::RffOptions rff;
-  rff.num_features = options.rff_features;
-  rff.gp = options.gp;
-  return std::make_unique<gp::RffRegressor>(
-      std::make_unique<gp::Matern52Ard>(dim), rff, feature_seed);
-}
-
 }  // namespace
 
 SurrogateModel::SurrogateModel(const conf::ConfigSpace& space,
@@ -38,17 +26,33 @@ SurrogateModel::SurrogateModel(const conf::ConfigSpace& space,
     : space_(&space),
       options_(options),
       rng_(seed),
-      seed_(seed),
       models_cost_(acquisition == AcquisitionKind::kEiPerCost) {}
 
 void SurrogateModel::update(std::span<const Trial> trials) {
   ADML_SPAN("surrogate.update");
   ADML_COUNT("surrogate.updates", 1);
-  std::vector<math::Vec> ok_x, all_x, cost_x;
+  // Training sets, encoded straight into row-major matrices: each starts
+  // with a row per trial and is trimmed to the rows its targets fill.
+  const std::size_t dim = space_->encoded_dimension();
+  math::Matrix ok_x(trials.size(), dim), all_x(trials.size(), dim);
+  math::Matrix cost_x(models_cost_ ? trials.size() : 0, dim);
   std::vector<double> ok_y, feas_y, cost_y;
   std::vector<double> real_y;  // completed runs only: defines the incumbent
   for (const Trial& t : trials) {
-    const math::Vec x = space_->encode(t.config);
+    // A trial is encoded once, into the first set it joins; later sets copy
+    // that row.
+    std::span<const double> encoded;
+    const auto add = [&](math::Matrix& x, std::vector<double>& y,
+                         double target) {
+      const std::span<double> row = x.row(y.size());
+      if (encoded.empty()) {
+        space_->encode_into(t.config, row);
+      } else {
+        std::copy(encoded.begin(), encoded.end(), row.begin());
+      }
+      encoded = row;
+      y.push_back(target);
+    };
     if (t.fantasized) {
       // Kriging-believer fantasy for a pending evaluation: a belief about
       // the objective, not an observation. It conditions the objective
@@ -57,8 +61,7 @@ void SurrogateModel::update(std::span<const Trial> trials) {
       // feasibility and cost models (and a posterior mean below the best
       // real run would fake an incumbent), so everything else skips it.
       if (std::isfinite(t.outcome.objective)) {
-        ok_x.push_back(x);
-        ok_y.push_back(std::log(std::max(t.outcome.objective, 1e-9)));
+        add(ok_x, ok_y, std::log(std::max(t.outcome.objective, 1e-9)));
       }
       continue;
     }
@@ -66,12 +69,10 @@ void SurrogateModel::update(std::span<const Trial> trials) {
     // configuration — training on them would carve phantom infeasible
     // regions out of the search space, so they are excluded here.
     if (!t.outcome.transient_failure()) {
-      all_x.push_back(x);
-      feas_y.push_back(t.outcome.feasible ? 0.0 : 1.0);
+      add(all_x, feas_y, t.outcome.feasible ? 0.0 : 1.0);
     }
     if (t.succeeded()) {
-      ok_x.push_back(x);
-      ok_y.push_back(std::log(std::max(t.outcome.objective, 1e-9)));
+      add(ok_x, ok_y, std::log(std::max(t.outcome.objective, 1e-9)));
       real_y.push_back(ok_y.back());
     } else if (t.outcome.aborted &&
                std::isfinite(t.outcome.projected_objective)) {
@@ -79,14 +80,15 @@ void SurrogateModel::update(std::span<const Trial> trials) {
       // where the killed run was heading. Without this, aborted trials
       // teach the objective model nothing and the tuner re-proposes near
       // them.
-      ok_x.push_back(x);
-      ok_y.push_back(std::log(std::max(t.outcome.projected_objective, 1e-9)));
+      add(ok_x, ok_y, std::log(std::max(t.outcome.projected_objective, 1e-9)));
     }
     if (models_cost_ && !t.outcome.aborted && t.outcome.spent_seconds > 0.0) {
-      cost_x.push_back(x);
-      cost_y.push_back(std::log(t.outcome.spent_seconds));
+      add(cost_x, cost_y, std::log(t.outcome.spent_seconds));
     }
   }
+  ok_x.resize_rows(ok_y.size());
+  all_x.resize_rows(feas_y.size());
+  cost_x.resize_rows(cost_y.size());
 
   const double failures =
       std::count(feas_y.begin(), feas_y.end(), 1.0);
@@ -108,26 +110,20 @@ void SurrogateModel::update(std::span<const Trial> trials) {
   const bool injected_fault = util::chaos::fault_requested("surrogate.refit");
 
   // The complete (re)fit flow, evidence-based trigger included. Any
-  // backend failure (non-PD Gram past the jitter ladder, NaN hyperopt)
+  // GP failure (non-PD Gram past the jitter ladder, NaN hyperopt)
   // surfaces here as an exception.
   const auto run_fits = [&] {
     if (injected_fault) {
       throw std::runtime_error("surrogate: injected refit fault");
     }
-    fit_or_append(objective_gp_, objective_cache_, ok_x, ok_y, full_hyperopt,
-                  /*role_salt=*/0);
-    if (models_cost_) {
-      fit_or_append(cost_gp_, cost_cache_, cost_x, cost_y, full_hyperopt,
-                    /*role_salt=*/1);
-    }
+    fit_or_append(objective_gp_, ok_x, ok_y, full_hyperopt);
+    if (models_cost_) fit_or_append(cost_gp_, cost_x, cost_y, full_hyperopt);
     // Feasibility model only earns its keep once failures exist; a constant
     // label vector would just burn a GP fit.
     if (failures > 0 && feas_y.size() >= 3) {
-      fit_or_append(feasibility_gp_, feasibility_cache_, all_x, feas_y,
-                    full_hyperopt, /*role_salt=*/2);
+      fit_or_append(feasibility_gp_, all_x, feas_y, full_hyperopt);
     } else {
       feasibility_gp_.reset();
-      feasibility_cache_ = {};
     }
     // Evidence-based trigger: the per-point negative LML is memoized state
     // the incremental paths keep current, so this costs O(1). When stale
@@ -143,13 +139,10 @@ void SurrogateModel::update(std::span<const Trial> trials) {
           options_.refit_nlml_degradation) {
         ADML_COUNT("surrogate.refit_evidence", 1);
         full_hyperopt = true;
-        fit_or_append(objective_gp_, objective_cache_, ok_x, ok_y, true, 0);
-        if (models_cost_) {
-          fit_or_append(cost_gp_, cost_cache_, cost_x, cost_y, true, 1);
-        }
+        fit_or_append(objective_gp_, ok_x, ok_y, true);
+        if (models_cost_) fit_or_append(cost_gp_, cost_x, cost_y, true);
         if (feasibility_gp_) {
-          fit_or_append(feasibility_gp_, feasibility_cache_, all_x, feas_y,
-                        true, 2);
+          fit_or_append(feasibility_gp_, all_x, feas_y, true);
         }
       }
     }
@@ -213,11 +206,6 @@ void SurrogateModel::update(std::span<const Trial> trials) {
   } else if (fitted) {
     ADML_COUNT("surrogate.refit_skipped", 1);
   }
-  ADML_GAUGE_SET("surrogate.backend",
-                 objective_gp_ && std::string_view(
-                                      objective_gp_->backend_name()) == "rff"
-                     ? 1
-                     : 0);
 
   if (!real_y.empty()) {
     incumbent_log_ = *std::min_element(real_y.begin(), real_y.end());
@@ -232,78 +220,37 @@ void SurrogateModel::drop_models() {
   objective_gp_.reset();
   feasibility_gp_.reset();
   cost_gp_.reset();
-  objective_cache_ = {};
-  feasibility_cache_ = {};
-  cost_cache_ = {};
   baseline_valid_ = false;
 }
 
-const char* SurrogateModel::objective_backend() const {
-  return objective_gp_ ? objective_gp_->backend_name() : nullptr;
-}
-
 void SurrogateModel::fit_or_append(
-    std::unique_ptr<gp::Regressor>& model, TrainCache& cache,
-    const std::vector<math::Vec>& xs, const std::vector<double>& ys,
-    bool full_hyperopt, std::uint64_t role_salt) {
-  if (xs.size() < 2) {
+    std::unique_ptr<gp::GaussianProcess>& model, const math::Matrix& x,
+    std::span<const double> y, bool full_hyperopt) {
+  const std::size_t n = y.size();
+  if (n < 2) {
     model.reset();
-    cache = {};
     return;
   }
-  // Backend selection. kAuto hands a model to the RFF approximation once
-  // its training set crosses the threshold; a switch discards the old
-  // model and fits the replacement from scratch (hyperopt included — the
-  // fresh backend should not inherit a cold start).
-  const bool want_rff =
-      options_.backend == SurrogateBackend::kRff ||
-      (options_.backend == SurrogateBackend::kAuto &&
-       xs.size() >= options_.rff_threshold);
-  bool switched = false;
-  if (model &&
-      (std::string_view(model->backend_name()) == "rff") != want_rff) {
-    model.reset();
-    switched = true;
-    ADML_COUNT("surrogate.backend_switches", 1);
-  }
   // Incremental path: unchanged hyperparameters (not a hyperopt round) and
-  // the new training set is the old one plus exactly one appended row.
-  // Encodings are deterministic functions of the configs, so exact
+  // the new training set is the one the GP holds plus exactly one appended
+  // row. Encodings are deterministic functions of the configs, so exact
   // double-equality is the right prefix test.
-  const bool appends_one =
-      model && model->is_fitted() && !full_hyperopt &&
-      xs.size() == cache.xs.size() + 1 &&
-      std::equal(cache.xs.begin(), cache.xs.end(), xs.begin()) &&
-      std::equal(cache.ys.begin(), cache.ys.end(), ys.begin());
-  if (appends_one) {
-    model->append_observation(xs.back(), ys.back());
-  } else {
-    const std::size_t dim = space_->encoded_dimension();
-    math::Matrix x(xs.size(), dim);
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      std::copy(xs[i].begin(), xs[i].end(), x.row(i).begin());
-    }
-    const bool fresh = model == nullptr;
-    if (fresh) {
-      if (want_rff) {
-        // Spectral feature draws come from the surrogate seed and the
-        // model's role, not from rng_: creating an RFF model must not
-        // shift the random stream the exact path consumes, or enabling
-        // the backend would perturb unrelated proposals.
-        std::uint64_t state = seed_ + 0x52464600ULL + role_salt;
-        model = make_rff(dim, options_, util::splitmix64(state));
-      } else {
-        model = make_gp(dim, options_.gp);
-      }
-    }
-    if (full_hyperopt || switched) {
-      model->fit(x, ys, rng_);
-    } else {
-      model->refit(x, ys);
+  if (model && model->is_fitted() && !full_hyperopt &&
+      model->num_points() + 1 == n) {
+    const std::span<const double> held_x = model->training_inputs().data();
+    const std::span<const double> held_y = model->training_targets();
+    if (std::equal(held_x.begin(), held_x.end(), x.data().begin()) &&
+        std::equal(held_y.begin(), held_y.end(), y.begin())) {
+      model->append_observation(x.row(n - 1), y[n - 1]);
+      return;
     }
   }
-  cache.xs = xs;
-  cache.ys = ys;
+  if (!model) model = make_gp(space_->encoded_dimension(), options_.gp);
+  if (full_hyperopt) {
+    model->fit(x, y, rng_);
+  } else {
+    model->refit(x, y);
+  }
 }
 
 SurrogateScore SurrogateModel::score(const conf::Config& config) const {

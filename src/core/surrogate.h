@@ -28,19 +28,12 @@
 
 namespace autodml::core {
 
-enum class SurrogateBackend {
-  kAuto,   // exact GP below rff_threshold points, RFF at or above it
-  kExact,  // always the exact GaussianProcess
-  kRff,    // always the random-Fourier-feature approximation
-};
-
 struct SurrogateOptions {
   /// Refit GP hyperparameters every k updates (1 = always). Factorization
   /// with existing hyperparameters happens on every update regardless.
   /// Between hyperopt rounds, an update that appends exactly one trial to a
-  /// GP's training set takes the backend's incremental path (O(n^2) rank-1
-  /// Cholesky append on the exact GP, O(nm + m^3) feature-Gram update on
-  /// RFF) instead of a full refit.
+  /// GP's training set takes the O(n^2) rank-1 Cholesky append instead of a
+  /// full refit.
   int hyperopt_every = 1;
   /// Evidence-based trigger: between scheduled rounds, a full hyperopt
   /// fires anyway when the objective model's per-point negative log
@@ -48,15 +41,7 @@ struct SurrogateOptions {
   /// the last hyperopt (stale hyperparameters stop explaining the data).
   /// <= 0 disables the trigger.
   double refit_nlml_degradation = 0.1;
-  /// Which regression backend serves each GP.
-  SurrogateBackend backend = SurrogateBackend::kAuto;
-  /// kAuto: a model switches to the RFF backend once its training set
-  /// reaches this many points (full refit cost drops from O(n^3) to
-  /// O(n m^2 + m^3)).
-  std::size_t rff_threshold = 1024;
-  /// Number of random Fourier features m for the RFF backend.
-  int rff_features = 256;
-  /// Graceful degradation: when a backend fit throws (non-PD Gram after
+  /// Graceful degradation: when a GP fit throws (non-PD Gram after
   /// the Cholesky jitter ladder is exhausted, NaN in hyperopt), the model
   /// set is rebuilt from scratch with the noise floor raised by this
   /// factor, up to `max_noise_escalations` times, before the surrogate
@@ -118,31 +103,21 @@ class SurrogateModel {
   /// True when the model fits a cost GP (built for kEiPerCost).
   bool models_cost() const { return models_cost_; }
 
-  /// Backend currently serving the objective model ("exact"/"rff"), or
-  /// nullptr before the first fit. Diagnostics/testing surface.
-  const char* objective_backend() const;
-
  private:
-  /// Training set a model was last fitted on; lets update() detect the
-  /// append-one-trial case and take the incremental path.
-  struct TrainCache {
-    std::vector<math::Vec> xs;
-    std::vector<double> ys;
-  };
+  /// Fit `model` on (x, y), or drop it below two points. When the model's
+  /// own training set is (x, y) minus the last row and this is not a
+  /// hyperopt round, the row is appended incrementally instead.
+  void fit_or_append(std::unique_ptr<gp::GaussianProcess>& model,
+                     const math::Matrix& x, std::span<const double> y,
+                     bool full_hyperopt);
 
-  void fit_or_append(std::unique_ptr<gp::Regressor>& model, TrainCache& cache,
-                     const std::vector<math::Vec>& xs,
-                     const std::vector<double>& ys, bool full_hyperopt,
-                     std::uint64_t role_salt);
-
-  /// Discard every fitted model and its training cache (partial state left
-  /// behind by a failed fit is not trustworthy).
+  /// Discard every fitted model (partial state left behind by a failed fit
+  /// is not trustworthy).
   void drop_models();
 
   const conf::ConfigSpace* space_;
   SurrogateOptions options_;
   util::Rng rng_;
-  std::uint64_t seed_;
   bool models_cost_;
   int updates_since_hyperopt_ = 0;
   /// Objective model's per-point negative LML recorded at the last
@@ -150,12 +125,9 @@ class SurrogateModel {
   double baseline_nlml_per_point_ = 0.0;
   bool baseline_valid_ = false;
 
-  std::unique_ptr<gp::Regressor> objective_gp_;
-  std::unique_ptr<gp::Regressor> feasibility_gp_;
-  std::unique_ptr<gp::Regressor> cost_gp_;
-  TrainCache objective_cache_;
-  TrainCache feasibility_cache_;
-  TrainCache cost_cache_;
+  std::unique_ptr<gp::GaussianProcess> objective_gp_;
+  std::unique_ptr<gp::GaussianProcess> feasibility_gp_;
+  std::unique_ptr<gp::GaussianProcess> cost_gp_;
   double incumbent_log_ = 0.0;
   double feasible_fraction_ = 1.0;
   bool degraded_ = false;

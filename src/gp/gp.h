@@ -4,23 +4,27 @@
 // variance is a hyperparameter fitted jointly with the kernel's by maximizing
 // the log marginal likelihood (analytic gradients + multi-start
 // box-constrained L-BFGS, warm-started from the previous fit). History
-// sizes in configuration tuning are usually small (tens to a few hundred
-// points), where exact O(n^3) inference is the right trade-off; past the
-// SurrogateModel threshold the stack switches to the random-Fourier-feature
-// approximation in rff.h.
+// sizes in configuration tuning are small (tens to a few hundred points,
+// each one an expensive training-job evaluation), where exact O(n^3)
+// inference is the right trade-off; it is the surrogate's only backend.
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "gp/kernel.h"
-#include "gp/regressor.h"
 #include "math/cholesky.h"
 #include "math/matrix.h"
 #include "math/optimize.h"
 #include "util/rng.h"
 
 namespace autodml::gp {
+
+struct GpPrediction {
+  double mean = 0.0;
+  double variance = 0.0;  // latent (noise-free) predictive variance
+};
 
 struct GpOptions {
   bool standardize_targets = true;
@@ -43,7 +47,7 @@ struct GpOptions {
 /// memory bounded; fixed, not an option, because no result depends on it.
 inline constexpr std::size_t kPredictBlock = 64;
 
-class GaussianProcess final : public Regressor {
+class GaussianProcess {
  public:
   GaussianProcess(std::unique_ptr<Kernel> kernel, GpOptions options = {});
 
@@ -53,11 +57,11 @@ class GaussianProcess final : public Regressor {
   /// Fit on rows of X (n x dim) with targets y (n). Optimizes
   /// hyperparameters unless disabled, then factorizes.
   void fit(const math::Matrix& x, std::span<const double> y,
-           util::Rng& rng) override;
+           util::Rng& rng);
 
   /// Replace the data but keep current hyperparameters (cheap refit used
   /// between full re-optimizations).
-  void refit(const math::Matrix& x, std::span<const double> y) override;
+  void refit(const math::Matrix& x, std::span<const double> y);
 
   /// Incremental update: append one observation, extending the existing
   /// Cholesky factor in O(n^2) instead of refactorizing (O(n^3)).
@@ -68,13 +72,18 @@ class GaussianProcess final : public Regressor {
   /// (the model is consistent either way). In AUTODML_CHECKED builds the
   /// incremental factor is cross-verified against a from-scratch
   /// factorization of the same jittered Gram matrix.
-  bool append_observation(std::span<const double> x, double y) override;
+  bool append_observation(std::span<const double> x, double y);
 
-  bool is_fitted() const override { return factor_.has_value(); }
-  std::size_t num_points() const override { return targets_raw_.size(); }
+  bool is_fitted() const { return factor_.has_value(); }
+  std::size_t num_points() const { return targets_raw_.size(); }
+
+  /// Training inputs (num_points() rows) and raw targets the current
+  /// posterior conditions on.
+  const math::Matrix& training_inputs() const { return x_; }
+  std::span<const double> training_targets() const { return targets_raw_; }
 
   /// The one-row case of predict_batch.
-  GpPrediction predict(std::span<const double> x) const override;
+  GpPrediction predict(std::span<const double> x) const;
 
   /// Scores the rows in blocks of kPredictBlock. Per block: the
   /// cross-covariance against every training row, one multi-right-hand-side
@@ -85,16 +94,15 @@ class GaussianProcess final : public Regressor {
   /// prediction does not depend on the block or thread it lands in
   /// (pinned against the per-point body in tests/predict_oracle_test.cpp).
   void predict_batch(std::span<const double> rows,
-                     std::span<GpPrediction> out) const override;
+                     std::span<GpPrediction> out) const;
 
   /// Log marginal likelihood of the current fit (standardized target units).
-  double log_marginal_likelihood() const override;
+  double log_marginal_likelihood() const;
 
   /// Fitted noise variance, in *raw* target units.
-  double noise_variance() const override;
+  double noise_variance() const;
 
-  const Kernel& kernel() const override { return *kernel_; }
-  const char* backend_name() const override { return "exact"; }
+  const Kernel& kernel() const { return *kernel_; }
 
   struct LmlResult {
     double value;

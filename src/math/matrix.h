@@ -72,6 +72,12 @@ class Matrix {
 
   void add_to_diagonal(double value);
 
+  /// Keep the first `rows` rows (or append zero rows); columns unchanged.
+  void resize_rows(std::size_t rows) {
+    data_.resize(rows * cols_);
+    rows_ = rows;
+  }
+
   /// Max |a_ij - b_ij|.
   static double max_abs_diff(const Matrix& a, const Matrix& b);
 

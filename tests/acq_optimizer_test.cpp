@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "config/sampler.h"
 #include "core/acquisition_optimizer.h"
@@ -355,7 +356,8 @@ TEST(ProposeBatch, BatchMirrorsKrigingBelieverByHand) {
         fit, AcquisitionKind::kEiPerCost, augmented, mirror_rng);
     ASSERT_TRUE(expected.has_value());
     EXPECT_TRUE(batch[i] == *expected) << "batch member " << i;
-    augmented.push_back(make_fantasy_trial(fit, *expected));
+    augmented.push_back(
+        make_fantasy_trial(*expected, fit.score(*expected).mean));
   }
 }
 
@@ -366,16 +368,18 @@ TEST(MakeFantasyTrial, BelievesThePosteriorMeanAndNeverCountsAsSuccess) {
   conf::Config probe = objective.space().default_config();
   probe.set_double("x", 0.5);
 
-  // Not ready: no belief — the fantasy only dedups the pending config.
-  // (The removed constant-liar code fabricated objective = 1.0 here.)
-  const Trial blind = make_fantasy_trial(model, probe);
+  // No posterior (model not ready): no belief — the fantasy only dedups
+  // the pending config. (The removed constant-liar code fabricated
+  // objective = 1.0 here.)
+  const Trial blind =
+      make_fantasy_trial(probe, std::numeric_limits<double>::quiet_NaN());
   EXPECT_TRUE(blind.fantasized);
   EXPECT_FALSE(blind.succeeded());
   EXPECT_TRUE(std::isinf(blind.outcome.objective));
 
   model.update(history);
   ASSERT_TRUE(model.ready());
-  const Trial fantasy = make_fantasy_trial(model, probe);
+  const Trial fantasy = make_fantasy_trial(probe, model.score(probe).mean);
   EXPECT_TRUE(fantasy.fantasized);
   EXPECT_FALSE(fantasy.succeeded());  // never an incumbent / neighborhood seed
   EXPECT_DOUBLE_EQ(fantasy.outcome.objective,
@@ -413,7 +417,7 @@ TEST(MakeFantasyTrial, FantasiesLeaveFeasibilityAndCostModelsUntouched) {
   for (double x : {0.94, 0.96, 0.98}) {
     conf::Config c = objective.space().default_config();
     c.set_double("x", x);
-    augmented.push_back(make_fantasy_trial(plain, c));
+    augmented.push_back(make_fantasy_trial(c, plain.score(c).mean));
   }
   SurrogateModel with_fantasies(objective.space(), {}, 7,
                                 AcquisitionKind::kEiPerCost);

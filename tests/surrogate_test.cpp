@@ -217,5 +217,101 @@ TEST(Surrogate, UpdateIsIdempotent) {
   EXPECT_NEAR(mean1, mean2, 1e-9);
 }
 
+// A feasible trial with x kept out of the crash region.
+Trial make_trial(const SyntheticObjective& objective, util::Rng& rng) {
+  Trial t;
+  conf::Config c = objective.space().sample_uniform(rng);
+  c.set_double("x", rng.uniform(0.0, 0.9));
+  t.config = c;
+  t.outcome.feasible = true;
+  t.outcome.objective = objective.true_value(c);
+  t.outcome.spent_seconds = t.outcome.objective;
+  return t;
+}
+
+TEST(Surrogate, RefitSchedulingCountsSkipsAndRounds) {
+  obs::MetricsRegistry::instance().enable();
+  obs::MetricsRegistry::instance().reset();
+  SyntheticObjective objective;
+  SurrogateOptions options;
+  options.hyperopt_every = 4;
+  options.refit_nlml_degradation = 0.0;  // isolate the schedule
+  SurrogateModel model(objective.space(), options, 31);
+  util::Rng rng(32);
+  std::vector<Trial> trials;
+  for (int i = 0; i < 4; ++i) trials.push_back(make_trial(objective, rng));
+  model.update(trials);  // first fit: hyperopt, resets the counter
+  for (int i = 0; i < 6; ++i) {
+    trials.push_back(make_trial(objective, rng));
+    model.update(trials);  // single-trial appends between scheduled rounds
+  }
+  auto& registry = obs::MetricsRegistry::instance();
+  // 7 updates: #1 first fit, #5 scheduled (counter reaches 4), rest skip.
+  EXPECT_EQ(registry.counter("surrogate.hyperopt_scheduled").value(), 2);
+  EXPECT_EQ(registry.counter("surrogate.refit_skipped").value(), 5);
+  EXPECT_EQ(registry.counter("surrogate.refit_evidence").value(), 0);
+  obs::MetricsRegistry::instance().disable();
+}
+
+TEST(Surrogate, EvidenceTriggerForcesEarlyHyperopt) {
+  obs::MetricsRegistry::instance().enable();
+  obs::MetricsRegistry::instance().reset();
+  SyntheticObjective objective;
+  SurrogateOptions options;
+  options.hyperopt_every = 1000;          // schedule would never fire again
+  options.refit_nlml_degradation = 1e-9;  // hair trigger
+  SurrogateModel model(objective.space(), options, 41);
+  util::Rng rng(42);
+  std::vector<Trial> trials;
+  for (int i = 0; i < 5; ++i) trials.push_back(make_trial(objective, rng));
+  model.update(trials);  // hyperopt on first fit; baseline recorded
+  // A batch of new observations the stale hyperparameters must explain
+  // strictly worse than the data they were tuned on.
+  for (int i = 0; i < 10; ++i) trials.push_back(make_trial(objective, rng));
+  model.update(trials);
+  EXPECT_GE(obs::MetricsRegistry::instance()
+                .counter("surrogate.refit_evidence")
+                .value(),
+            1);
+  obs::MetricsRegistry::instance().disable();
+}
+
+TEST(Surrogate, AppendsOnlyWhenTheHeldTrainingSetIsAPrefix) {
+  // Failure-free trials under log-EI: the objective GP is the only model,
+  // so gp.append_fast counts its incremental updates alone.
+  auto& registry = obs::MetricsRegistry::instance();
+  registry.enable();
+  registry.reset();
+  SyntheticObjective objective;
+  SurrogateOptions options;
+  options.hyperopt_every = 1000;  // no scheduled hyperopt after the first
+  options.refit_nlml_degradation = 0.0;
+  SurrogateModel model(objective.space(), options, 51);
+  util::Rng rng(52);
+  std::vector<Trial> trials;
+  for (int i = 0; i < 8; ++i) trials.push_back(make_trial(objective, rng));
+  model.update(trials);
+  const auto& appends = registry.counter("gp.append_fast");
+  ASSERT_EQ(appends.value(), 0);
+
+  trials.push_back(make_trial(objective, rng));
+  model.update(trials);  // history plus one trial
+  EXPECT_EQ(appends.value(), 1);
+
+  // One trial longer again, but an earlier target changed: a full refit.
+  trials.push_back(make_trial(objective, rng));
+  trials[2].outcome.objective *= 2.0;
+  model.update(trials);
+  EXPECT_EQ(appends.value(), 1);
+
+  // Likewise when an earlier input row changed.
+  trials.push_back(make_trial(objective, rng));
+  trials[3].config.set_int("k", trials[3].config.get_int("k") % 10 + 1);
+  model.update(trials);
+  EXPECT_EQ(appends.value(), 1);
+  EXPECT_EQ(registry.counter("surrogate.refit_skipped").value(), 3);
+  registry.disable();
+}
+
 }  // namespace
 }  // namespace autodml::core

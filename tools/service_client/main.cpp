@@ -8,7 +8,8 @@
 // usage: adml-service --socket=PATH < requests.ldjson
 //
 // Exit code 0 once stdin is exhausted, 1 on usage or socket errors
-// (including the daemon closing the connection mid-request).
+// (including the daemon closing the connection mid-request), 2 on a flag
+// other than --socket.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -18,6 +19,7 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <string_view>
 
 #include "util/arg_parse.h"
 
@@ -58,6 +60,11 @@ bool read_line(int fd, std::string& buffer, std::string& line) {
 
 int main(int argc, char** argv) {
   const autodml::util::ArgParser args(argc, argv);
+  static constexpr std::string_view kFlags[] = {"socket"};
+  if (const auto error = args.unknown_flag(kFlags)) {
+    std::cerr << *error << "\n";
+    return 2;
+  }
   const std::string path = args.get("socket", "");
   if (path.empty()) {
     std::fprintf(stderr, "usage: adml-service --socket=PATH < requests.ldjson\n");
